@@ -2,14 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-json bench-diff experiments golden golden-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
+.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-json bench-diff perfbench perfbench-test experiments golden golden-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
 
 all: check
 
-# check is the full gate: build, vet, tests, and the race detector
-# over the concurrent packages (worker pool, instance memo,
-# simulator).
-check: build vet test race
+# check is the full gate: build, vet, tests, the race detector over
+# the concurrent packages (worker pool, instance memo, simulator), and
+# the repository benchmark's own vet and tests.
+check: build vet test race perfbench-test
 
 build:
 	$(GO) build ./...
@@ -86,6 +86,23 @@ bench-diff:
 bench-json:
 	mkdir -p results
 	$(GO) test -bench=. -benchmem -run='^$$' . ./internal/sim | $(GO) run ./tools/benchjson > results/BENCH_sim.json
+
+# perfbench runs one workload of the repository benchmark
+# (perfbench/, declared by BENCHMARK.json) and prints its metrics, the
+# last line as JSON. W is regen, serve-warm or serve-sweep; TRACE=1
+# selects the traced per-layer run. See perfbench/README.md.
+W ?= regen
+SEED ?= 1
+SECONDS ?= 20
+TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(W) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
+
+# perfbench-test vets and tests the benchmark program. perfbench/ is
+# its own Go module, so ./... in the targets above does not reach it.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 experiments:
 	$(GO) run ./cmd/dpmexp -run all

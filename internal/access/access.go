@@ -53,9 +53,12 @@ func Walk(p *ir.Program, sub *layout.Subsystem, fn func(Touch) error) error {
 
 // refPlan is the per-reference precomputation for one nest.
 type refPlan struct {
-	ref       *ir.Ref
-	stmtIdx   int
-	refIdx    int
+	ref     *ir.Ref
+	stmtIdx int
+	refIdx  int
+	// order is the plan's index in the nest's plan list, which is in
+	// (statement, reference) program order.
+	order     int
 	strideB   int64 // byte stride per innermost iteration (linear layouts)
 	unitBytes int64
 	fileSize  int64
@@ -74,12 +77,13 @@ type refPlan struct {
 	withinStride int64
 }
 
+// pendingTouch is one unit touch of the current innermost run. It
+// holds no pointers, so collecting a run's touches costs no write
+// barriers.
 type pendingTouch struct {
-	k       int64 // innermost iteration offset within the run
-	stmtIdx int
-	refIdx  int
-	unit    int64
-	plan    *refPlan
+	k    int64 // innermost iteration offset within the run
+	unit int64
+	plan int // the touching reference's refPlan.order
 }
 
 func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error) error {
@@ -102,7 +106,7 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 			}
 			size, _ := sub.SizeOf(r.Array.Name)
 			pl := refPlan{
-				ref: r, stmtIdx: si, refIdx: ri,
+				ref: r, stmtIdx: si, refIdx: ri, order: len(plans),
 				unitBytes: st.UnitBytes,
 				fileSize:  size, file: r.Array.Name,
 				drivenDim: -1,
@@ -135,24 +139,30 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 	}
 
 	iv := make([]int64, depth)
-	// scratch is the blocked walker's private iteration vector; it is
-	// allocated once per nest and overwritten per (run, reference)
-	// rather than copied afresh, keeping the outer loop allocation-free.
+	// scratch is the blocked walker's private iteration vector and idx
+	// the subscript buffer of every offset computation; both are
+	// allocated once per nest and overwritten per (run, reference),
+	// keeping the outer loop allocation-free.
 	scratch := make([]int64, depth)
+	rank := 0
+	for pi := range plans {
+		rank = max(rank, len(plans[pi].ref.Index))
+	}
+	idx := make([]int64, rank)
 	var touches []pendingTouch
 	for outer := int64(0); outer < outerTrips; outer++ {
 		// Build the iteration vector for this innermost run.
 		baseIter := outer * innerTrip
-		copy(iv, nest.IndexOf(baseIter))
+		nest.IndexOfInto(iv, baseIter)
 		touches = touches[:0]
 
 		for pi := range plans {
 			pl := &plans[pi]
 			var err error
 			if pl.blocked {
-				err = collectRunTouchesBlocked(pl, iv, scratch, inner, innerTrip, &touches)
+				err = collectRunTouchesBlocked(pl, iv, scratch, idx, inner, innerTrip, &touches)
 			} else {
-				err = collectRunTouches(pl, pl.ref.OffsetAt(iv), innerTrip, &touches)
+				err = collectRunTouches(pl, pl.ref.OffsetAtScratch(iv, idx), innerTrip, &touches)
 			}
 			if err != nil {
 				return fmt.Errorf("access: nest %d (%q) stmt %d ref %d: %w",
@@ -160,9 +170,10 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 			}
 		}
 		// Program order within the run: by iteration, then statement,
-		// then reference. Keys are unique per touch, so the (unstable)
-		// sort is deterministic; SortFunc avoids sort.Slice's
-		// per-call closure and reflection-based swapper.
+		// then reference, which is plan order. Keys are unique per
+		// touch, so the (unstable) sort is deterministic; SortFunc
+		// avoids sort.Slice's per-call closure and reflection-based
+		// swapper.
 		slices.SortFunc(touches, func(a, b pendingTouch) int {
 			if a.k != b.k {
 				if a.k < b.k {
@@ -170,21 +181,19 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 				}
 				return 1
 			}
-			if a.stmtIdx != b.stmtIdx {
-				return a.stmtIdx - b.stmtIdx
-			}
-			return a.refIdx - b.refIdx
+			return a.plan - b.plan
 		})
 		for _, tc := range touches {
-			unitStart := tc.unit * tc.plan.unitBytes
-			b := tc.plan.unitBytes
-			if unitStart+b > tc.plan.fileSize {
-				b = tc.plan.fileSize - unitStart
+			pl := &plans[tc.plan]
+			unitStart := tc.unit * pl.unitBytes
+			b := pl.unitBytes
+			if unitStart+b > pl.fileSize {
+				b = pl.fileSize - unitStart
 			}
 			if err := fn(Touch{
 				Nest: ni, Iter: baseIter + tc.k,
-				File: tc.plan.file, Unit: tc.unit, Bytes: b,
-				Kind: tc.plan.ref.Kind,
+				File: pl.file, Unit: tc.unit, Bytes: b,
+				Kind: pl.ref.Kind,
 			}); err != nil {
 				return err
 			}
@@ -206,7 +215,7 @@ func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) 
 		return err
 	}
 	if pl.strideB == 0 {
-		*out = append(*out, pendingTouch{k: 0, stmtIdx: pl.stmtIdx, refIdx: pl.refIdx, unit: base / pl.unitBytes, plan: pl})
+		*out = append(*out, pendingTouch{k: 0, unit: base / pl.unitBytes, plan: pl.order})
 		return nil
 	}
 	// Check the last offset too, so the whole run is known in bounds
@@ -218,7 +227,7 @@ func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) 
 	off := base
 	for k < innerTrip {
 		unit := off / pl.unitBytes
-		*out = append(*out, pendingTouch{k: k, stmtIdx: pl.stmtIdx, refIdx: pl.refIdx, unit: unit, plan: pl})
+		*out = append(*out, pendingTouch{k: k, unit: unit, plan: pl.order})
 		var dk int64
 		if pl.strideB > 0 {
 			next := (unit + 1) * pl.unitBytes
@@ -258,7 +267,8 @@ func withinTileStride(a *ir.Array, dim int) int64 {
 // segment, with linear unit-boundary jumping inside each segment.
 // scratch must have len(ivRun) elements; it is overwritten (the
 // caller's ivRun stays untouched for the nest's remaining references).
-func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch []int64, inner ir.Loop, innerTrip int64, out *[]pendingTouch) error {
+// idx is the subscript buffer for ir.Ref.OffsetAtScratch.
+func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch, idx []int64, inner ir.Loop, innerTrip int64, out *[]pendingTouch) error {
 	iv := scratch
 	copy(iv, ivRun)
 	innerDepth := len(iv) - 1
@@ -267,7 +277,7 @@ func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch []int64, inner ir.Loop
 		unit := off / pl.unitBytes
 		if unit != lastUnit {
 			lastUnit = unit
-			*out = append(*out, pendingTouch{k: k, stmtIdx: pl.stmtIdx, refIdx: pl.refIdx, unit: unit, plan: pl})
+			*out = append(*out, pendingTouch{k: k, unit: unit, plan: pl.order})
 		}
 	}
 	checkOff := func(off int64) error {
@@ -281,7 +291,7 @@ func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch []int64, inner ir.Loop
 		// walk element by element (correct for any pattern).
 		for k := int64(0); k < innerTrip; k++ {
 			iv[innerDepth] = inner.Lo + k*inner.Step
-			off := pl.ref.OffsetAt(iv)
+			off := pl.ref.OffsetAtScratch(iv, idx)
 			if err := checkOff(off); err != nil {
 				return err
 			}
@@ -295,7 +305,7 @@ func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch []int64, inner ir.Loop
 	stride := pl.coefStep * pl.withinStride
 	for k := int64(0); k < innerTrip; {
 		iv[innerDepth] = inner.Lo + k*inner.Step
-		segOff := pl.ref.OffsetAt(iv)
+		segOff := pl.ref.OffsetAtScratch(iv, idx)
 		if err := checkOff(segOff); err != nil {
 			return err
 		}

@@ -6,8 +6,6 @@
 // one request per stripe unit per sweep.
 package cache
 
-import "container/list"
-
 // Key identifies one stripe unit of one array file.
 type Key struct {
 	File string
@@ -16,12 +14,26 @@ type Key struct {
 
 // LRU is a fixed-capacity least-recently-used cache of stripe units.
 // The zero value is not usable; use New.
+//
+// The recency list is intrusive and slice-backed: each cached unit
+// owns one slot of entries, linked to its neighbours by slot index,
+// and an evicted unit's slot is reused by the unit replacing it, so a
+// warm cache allocates nothing on hits or on evicting misses.
 type LRU struct {
 	capacity int
-	ll       *list.List
-	m        map[Key]*list.Element
+	entries  []entry
+	head     int32 // most recently used slot; -1 when empty
+	tail     int32 // least recently used slot; -1 when empty
+	m        map[Key]int32
 	hits     int64
 	misses   int64
+}
+
+// entry is one slot of the recency list.
+type entry struct {
+	key  Key
+	prev int32 // more recently used neighbour; -1 at the head
+	next int32 // less recently used neighbour; -1 at the tail
 }
 
 // New returns an LRU holding at most capUnits stripe units. A
@@ -32,8 +44,9 @@ func New(capUnits int) *LRU {
 	}
 	return &LRU{
 		capacity: capUnits,
-		ll:       list.New(),
-		m:        make(map[Key]*list.Element, capUnits),
+		head:     -1,
+		tail:     -1,
+		m:        make(map[Key]int32, capUnits),
 	}
 }
 
@@ -41,8 +54,11 @@ func New(capUnits int) *LRU {
 // unit was present (a cache hit); on a miss the unit is inserted,
 // evicting the least recently used unit if the cache is full.
 func (c *LRU) Touch(k Key) bool {
-	if e, ok := c.m[k]; ok {
-		c.ll.MoveToFront(e)
+	if i, ok := c.m[k]; ok {
+		if i != c.head {
+			c.unlink(i)
+			c.pushFront(i)
+		}
 		c.hits++
 		return true
 	}
@@ -50,13 +66,48 @@ func (c *LRU) Touch(k Key) bool {
 	if c.capacity == 0 {
 		return false
 	}
-	if c.ll.Len() >= c.capacity {
-		back := c.ll.Back()
-		delete(c.m, back.Value.(Key))
-		c.ll.Remove(back)
+	var i int32
+	if len(c.entries) < c.capacity {
+		i = int32(len(c.entries))
+		c.entries = append(c.entries, entry{key: k})
+	} else {
+		i = c.tail
+		delete(c.m, c.entries[i].key)
+		c.unlink(i)
+		c.entries[i].key = k
 	}
-	c.m[k] = c.ll.PushFront(k)
+	c.pushFront(i)
+	c.m[k] = i
 	return false
+}
+
+// unlink removes slot i from the recency list.
+func (c *LRU) unlink(i int32) {
+	e := &c.entries[i]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
+}
+
+// pushFront makes slot i the most recently used.
+func (c *LRU) pushFront(i int32) {
+	e := &c.entries[i]
+	e.prev = -1
+	e.next = c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = i
+	}
+	c.head = i
+	if c.tail < 0 {
+		c.tail = i
+	}
 }
 
 // Contains reports whether the unit is cached, without touching it.
@@ -66,7 +117,7 @@ func (c *LRU) Contains(k Key) bool {
 }
 
 // Len returns the number of cached units.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (c *LRU) Len() int { return len(c.entries) }
 
 // Cap returns the capacity in units.
 func (c *LRU) Cap() int { return c.capacity }
@@ -76,7 +127,8 @@ func (c *LRU) Stats() (hits, misses int64) { return c.hits, c.misses }
 
 // Reset empties the cache and clears the statistics.
 func (c *LRU) Reset() {
-	c.ll.Init()
-	c.m = make(map[Key]*list.Element, c.capacity)
+	c.entries = c.entries[:0]
+	c.head, c.tail = -1, -1
+	clear(c.m)
 	c.hits, c.misses = 0, 0
 }

@@ -17,6 +17,7 @@ package insert
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sdpm/internal/cycles"
@@ -175,17 +176,37 @@ type Plan struct {
 	Calls []Call
 }
 
-// mergedItem is a stream element being assembled: a request site or
-// an inserted op, positioned by compute-cycle position with tie
-// breaking that preserves program order around anchors.
-type mergedItem struct {
+// opKey positions a stream element by compute-cycle position, with
+// tie breaking that preserves program order around anchors. Request
+// site i has key {CyclePos, i, 0}; sites never tie with each other or
+// with an op, since no op has prio 0.
+type opKey struct {
 	cyc    int64
-	anchor int // site index the item is anchored to
-	prio   int // -1: op before anchor; 0: the request; +1: op after anchor
-	site   int // site index for requests
-	op     trace.PowerOp
-	isOp   bool
+	anchor int // site index the element is ordered against
+	prio   int // -1: op before anchor; 0: the request; +1: op after anchor; +2: after anchor's own ops
 }
+
+func cmpKey(a, b opKey) int {
+	switch {
+	case a.cyc != b.cyc:
+		if a.cyc < b.cyc {
+			return -1
+		}
+		return 1
+	case a.anchor != b.anchor:
+		return a.anchor - b.anchor
+	default:
+		return a.prio - b.prio
+	}
+}
+
+// opItem is one inserted power-management call and its stream key.
+type opItem struct {
+	key opKey
+	op  trace.PowerOp
+}
+
+func cmpOpItem(a, b opItem) int { return cmpKey(a.key, b.key) }
 
 // Instrument builds the CMTPM/CMDRPM instrumented trace for the
 // given request sites on a numDisks-disk subsystem.
@@ -224,9 +245,15 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 	// position, snapping times that fall inside a service interval to
 	// its completion (the application executes no iterations while
 	// blocked on I/O).
+	//
+	// Both searches below start from the previous answer: ops are
+	// placed disk by disk in gap order, so consecutive searches land
+	// close together.
+	var lastJ, lastAnchor int
 	timeToCycle := func(t float64) int64 {
 		// Find the last site whose completion is <= t.
-		j := sort.Search(len(sites), func(k int) bool { return comp[k] > t })
+		j := searchFrom(len(sites), lastJ, func(k int) bool { return comp[k] > t })
+		lastJ = j
 		var baseT float64
 		var baseC int64
 		if j > 0 {
@@ -245,7 +272,8 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 	// anchorFor returns the site index an op at cycle position c is
 	// ordered against: the first site with CyclePos >= c.
 	anchorFor := func(c int64) int {
-		return sort.Search(len(sites), func(k int) bool { return sites[k].CyclePos >= c })
+		lastAnchor = searchFrom(len(sites), lastAnchor, func(k int) bool { return sites[k].CyclePos >= c })
+		return lastAnchor
 	}
 
 	plan := &Plan{
@@ -254,70 +282,38 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		Levels:         make([][]int, numDisks),
 		PredictedIdle:  make([][]float64, numDisks),
 	}
-
-	items := make([]mergedItem, 0, len(sites)*2)
-	for i := range sites {
-		items = append(items, mergedItem{cyc: sites[i].CyclePos, anchor: i, prio: 0, site: i})
+	// Every disk has one idle period per request plus the trailing one.
+	if n := len(sites) + numDisks; n > 0 {
+		plan.Decisions = make([]GapDecision, 0, n)
 	}
-	// addOp inserts a power op at predicted time t. afterSite >= 0
-	// anchors the op just after that request (down-ops at a gap
-	// start). notBefore >= 0 enforces a program-order floor: the op
-	// must sort after that request and after any op anchored to it —
-	// required for restore ops whose lead time reaches back into a
-	// cluster of requests sharing one cycle position, where the
-	// time-based anchor alone could order the restore before its own
-	// gap's power-down.
-	addOp := func(t float64, afterSite, notBefore int, op trace.PowerOp) {
-		c := timeToCycle(t)
-		it := mergedItem{cyc: c, op: op, isOp: true}
-		if afterSite >= 0 && c <= sites[afterSite].CyclePos {
-			it.cyc = sites[afterSite].CyclePos
-			it.anchor = afterSite
-			it.prio = 1
+
+	// gapBounds returns the predicted start and end of idle period g
+	// of disk d, and the site its power-down is anchored after (-1 for
+	// the leading period).
+	gapBounds := func(d, g int) (start, end float64, afterSite int) {
+		afterSite = -1
+		if g > 0 {
+			afterSite = perDisk[d][g-1]
+			start = comp[afterSite]
+		}
+		if g == len(perDisk[d]) {
+			end = predEnd
 		} else {
-			it.anchor = anchorFor(c)
-			it.prio = -1
+			end = issue[perDisk[d][g]]
 		}
-		if notBefore >= 0 {
-			floorCyc := sites[notBefore].CyclePos
-			if it.cyc < floorCyc ||
-				(it.cyc == floorCyc && (it.anchor < notBefore || (it.anchor == notBefore && it.prio <= 1))) {
-				it.cyc = floorCyc
-				it.anchor = notBefore
-				it.prio = 2
-			}
-		}
-		items = append(items, it)
-		plan.Ops++
-		anchor := it.anchor
-		if anchor >= len(sites) {
-			anchor = len(sites) - 1
-		}
-		if anchor >= 0 {
-			plan.Calls = append(plan.Calls, Call{Nest: sites[anchor].Nest, Iter: sites[anchor].Iter, Op: op})
-		}
+		return start, end, afterSite
 	}
 
+	// First decide every idle period's power mode, counting the calls
+	// the decisions need.
+	nOps := 0
 	for d := 0; d < numDisks; d++ {
 		nGaps := len(perDisk[d]) + 1
 		plan.Levels[d] = make([]int, nGaps)
 		plan.PredictedIdle[d] = make([]float64, nGaps)
 		for g := 0; g < nGaps; g++ {
-			var start, end float64
-			afterSite := -1 // site the down-op is anchored after
+			start, end, _ := gapBounds(d, g)
 			trailing := g == nGaps-1
-			if g == 0 {
-				start = 0
-			} else {
-				si := perDisk[d][g-1]
-				start = comp[si]
-				afterSite = si
-			}
-			if trailing {
-				end = predEnd
-			} else {
-				end = issue[perDisk[d][g]]
-			}
 			idle := end - start
 			if idle < 0 {
 				idle = 0
@@ -325,14 +321,6 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 			plan.PredictedIdle[d][g] = idle
 			dec := GapDecision{Disk: d, Gap: g, PredictedIdleMS: idle, Act: Stay, RPM: p.MaxRPM, Trailing: trailing}
 			plan.Levels[d][g] = p.MaxRPM
-
-			// Pre-activation is anchored a safety margin (a fraction
-			// of the predicted idle length) ahead of the next
-			// access, so a gap that comes out shorter than predicted
-			// by up to that margin still hides the wake-up
-			// transition. The power-mode choice itself uses the
-			// unbiased estimate (what Table 3 compares).
-			margin := idle * opts.safety() / 100
 			switch opts.Mode {
 			case ModeDRPM:
 				var level int
@@ -345,15 +333,6 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 					dec.Act = Dip
 					dec.RPM = level
 					plan.Levels[d][g] = level
-					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
-					if !trailing && !opts.DisablePreactivation {
-						tr := p.TransitionTimeMS(level, p.MaxRPM)
-						up := end - tr - margin - opts.guard(tr)
-						if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
-							up = min
-						}
-						addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
-					}
 				}
 			case ModeTPM:
 				worthIt := false
@@ -365,67 +344,204 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 				if worthIt {
 					dec.Act = Standby
 					plan.Levels[d][g] = 0
-					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
-					if !trailing && !opts.DisablePreactivation {
-						up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
-						if min := start + p.SpinDownMS; up < min {
-							up = min
-						}
-						addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSpinUp})
-					}
 				}
 			default:
 				return nil, nil, fmt.Errorf("insert: unknown mode %d", opts.Mode)
+			}
+			if dec.Act != Stay {
+				nOps++
+				if !trailing && !opts.DisablePreactivation {
+					nOps++
+				}
 			}
 			plan.Decisions = append(plan.Decisions, dec)
 		}
 	}
 
-	sort.SliceStable(items, func(a, b int) bool {
-		ia, ib := &items[a], &items[b]
-		if ia.cyc != ib.cyc {
-			return ia.cyc < ib.cyc
+	// Then place the calls. Decisions are disk-major, so the ops are
+	// collected per disk: disk d's ops are the contiguous run
+	// ops[opStart[d]:opStart[d+1]], in gap order.
+	ops := make([]opItem, 0, nOps)
+	opStart := make([]int, numDisks+1)
+	// addOp inserts a power op at predicted time t. afterSite >= 0
+	// anchors the op just after that request (down-ops at a gap
+	// start). notBefore >= 0 enforces a program-order floor: the op
+	// must sort after that request and after any op anchored to it —
+	// required for restore ops whose lead time reaches back into a
+	// cluster of requests sharing one cycle position, where the
+	// time-based anchor alone could order the restore before its own
+	// gap's power-down.
+	addOp := func(t float64, afterSite, notBefore int, op trace.PowerOp) {
+		c := timeToCycle(t)
+		k := opKey{cyc: c}
+		if afterSite >= 0 && c <= sites[afterSite].CyclePos {
+			k = opKey{cyc: sites[afterSite].CyclePos, anchor: afterSite, prio: 1}
+		} else {
+			k.anchor = anchorFor(c)
+			k.prio = -1
 		}
-		if ia.anchor != ib.anchor {
-			return ia.anchor < ib.anchor
+		if notBefore >= 0 {
+			floor := opKey{cyc: sites[notBefore].CyclePos, anchor: notBefore, prio: 2}
+			if cmpKey(k, floor) < 0 {
+				k = floor
+			}
 		}
-		return ia.prio < ib.prio
-	})
+		ops = append(ops, opItem{key: k, op: op})
+	}
+	for _, dec := range plan.Decisions {
+		if dec.Act != Stay {
+			d, idle := dec.Disk, dec.PredictedIdleMS
+			start, end, afterSite := gapBounds(d, dec.Gap)
+			preactivate := !dec.Trailing && !opts.DisablePreactivation
+			// Pre-activation is anchored a safety margin (a fraction
+			// of the predicted idle length) ahead of the next access,
+			// so a gap that comes out shorter than predicted by up to
+			// that margin still hides the wake-up transition. The
+			// power-mode choice itself uses the unbiased estimate
+			// (what Table 3 compares).
+			margin := idle * opts.safety() / 100
+			if dec.Act == Dip {
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: dec.RPM, PredictedIdleMS: idle})
+				if preactivate {
+					tr := p.TransitionTimeMS(dec.RPM, p.MaxRPM)
+					up := end - tr - margin - opts.guard(tr)
+					if min := start + p.TransitionTimeMS(p.MaxRPM, dec.RPM); up < min {
+						up = min
+					}
+					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
+				}
+			} else {
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
+				if preactivate {
+					up := end - p.SpinUpMS - margin - opts.guard(p.SpinUpMS)
+					if min := start + p.SpinDownMS; up < min {
+						up = min
+					}
+					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSpinUp})
+				}
+			}
+		}
+		opStart[dec.Disk+1] = len(ops)
+	}
 
-	// Emit the instrumented trace with jittered actual gaps.
+	plan.Ops = len(ops)
+	if len(ops) > 0 && len(sites) > 0 {
+		plan.Calls = make([]Call, len(ops))
+		for i := range ops {
+			anchor := min(ops[i].key.anchor, len(sites)-1)
+			plan.Calls[i] = Call{Nest: sites[anchor].Nest, Iter: sites[anchor].Iter, Op: ops[i].op}
+		}
+	}
+	return emit(program, numDisks, sites, ops, opStart, m, svc), plan, nil
+}
+
+// searchFrom returns sort.Search(n, f) for a search whose answer is
+// expected near hint: it gallops outward from hint to bracket the
+// answer, then binary-searches the bracket. As for sort.Search, f
+// must be false on a prefix of [0, n) and true on the rest.
+func searchFrom(n, hint int, f func(int) bool) int {
+	hint = min(max(hint, 0), n)
+	// The answer lies in [lo, hi].
+	lo, hi := 0, n
+	if hint == n || f(hint) {
+		hi = hint
+		for step := 1; hint-step >= 0; step *= 2 {
+			if !f(hint - step) {
+				lo = hint - step + 1
+				break
+			}
+			hi = hint - step
+		}
+	} else {
+		lo = hint + 1
+		for step := 1; hint+step < n; step *= 2 {
+			if f(hint + step) {
+				hi = hint + step
+				break
+			}
+			lo = hint + step + 1
+		}
+	}
+	return lo + sort.Search(hi-lo, func(k int) bool { return f(lo + k) })
+}
+
+// emit merges the request sites with the per-disk op lists
+// ops[opStart[d]:opStart[d+1]] into the instrumented trace, with
+// jittered actual gaps. The stream order is ascending opKey, ties
+// between ops going to the lower disk and then to the earlier op of
+// one disk: the order a stable sort of all sites and ops, in
+// insertion order, would produce. Each disk's ops come out of the gap
+// walk already in key order; a list that is not is stable-sorted in
+// place first, so the output never depends on that invariant.
+func emit(program string, numDisks int, sites []tracegen.Site, ops []opItem, opStart []int, m *cycles.Model, svc func(int64) float64) *trace.Trace {
+	for d := 0; d < numDisks; d++ {
+		if list := ops[opStart[d]:opStart[d+1]]; !slices.IsSortedFunc(list, cmpOpItem) {
+			slices.SortStableFunc(list, cmpOpItem)
+		}
+	}
+	// head[d] is the next unemitted op of disk d; best is the disk
+	// whose head sorts first, or -1 when every list is drained.
+	head := make([]int, numDisks)
+	copy(head, opStart)
+	best := -1
+	nextBest := func() {
+		best = -1
+		for d := 0; d < numDisks; d++ {
+			if head[d] < opStart[d+1] && (best < 0 || cmpOpItem(ops[head[d]], ops[head[best]]) < 0) {
+				best = d
+			}
+		}
+	}
+	nextBest()
+
 	tr := &trace.Trace{Program: program, NumDisks: numDisks}
-	tr.Events = make([]trace.Event, 0, len(items))
+	tr.Events = make([]trace.Event, len(sites)+len(ops))
 	var prevCyc int64
 	var arrival float64
-	for i, it := range items {
-		gapCyc := it.cyc - prevCyc
+	si := 0
+	for i := range tr.Events {
+		var key opKey
+		var op *opItem
+		if best >= 0 && (si == len(sites) ||
+			cmpKey(ops[head[best]].key, opKey{cyc: sites[si].CyclePos, anchor: si}) < 0) {
+			op = &ops[head[best]]
+			key = op.key
+			head[best]++
+			nextBest()
+		} else {
+			key = opKey{cyc: sites[si].CyclePos, anchor: si}
+			si++
+		}
+		gapCyc := key.cyc - prevCyc
 		if gapCyc < 0 {
 			gapCyc = 0
 		}
-		prevCyc = it.cyc
+		prevCyc = key.cyc
 		nest := 0
-		if it.anchor < len(sites) {
-			nest = sites[it.anchor].Nest
+		if key.anchor < len(sites) {
+			nest = sites[key.anchor].Nest
 		} else if len(sites) > 0 {
 			nest = sites[len(sites)-1].Nest
 		}
 		gap := m.ActualMSIn(gapCyc, uint64(i), nest)
 		arrival += gap
-		if it.isOp {
-			tr.Events = append(tr.Events, trace.Event{Kind: trace.EvPowerOp, GapMS: gap, Op: it.op})
+		// Fill the freshly zeroed event in place rather than copying
+		// a whole Event value in.
+		e := &tr.Events[i]
+		e.GapMS = gap
+		if op != nil {
+			e.Kind = trace.EvPowerOp
+			e.Op = op.op
 			continue
 		}
-		s := sites[it.site]
-		tr.Events = append(tr.Events, trace.Event{
-			Kind:  trace.EvRequest,
-			GapMS: gap,
-			Req: trace.Request{
-				ArrivalMS: arrival,
-				Disk:      s.Disk, Block: s.Block, Bytes: s.Bytes, Kind: s.Kind,
-				File: s.File, Unit: s.Unit, Nest: s.Nest, Iter: s.Iter,
-			},
-		})
+		s := &sites[key.anchor]
+		e.Kind = trace.EvRequest
+		e.Req = trace.Request{
+			ArrivalMS: arrival,
+			Disk:      s.Disk, Block: s.Block, Bytes: s.Bytes, Kind: s.Kind,
+			File: s.File, Unit: s.Unit, Nest: s.Nest, Iter: s.Iter,
+		}
 		arrival += svc(s.Bytes)
 	}
-	return tr, plan, nil
+	return tr
 }

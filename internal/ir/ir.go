@@ -80,19 +80,20 @@ func (a *Array) OffsetOf(idx []int64) int64 {
 		return a.linearize(idx, a.Dims) * a.ElemSize
 	}
 	// Blocked layout: linearize the tile coordinate over the tile
-	// grid, then the element coordinate within the tile.
-	n := len(idx)
-	tile := make([]int64, n)
-	within := make([]int64, n)
-	grid := make([]int64, n)
+	// grid, then the element coordinate within the tile, both in the
+	// array's storage order.
+	var tileLin, withinLin int64
 	tileElems := int64(1)
-	for d := 0; d < n; d++ {
-		tile[d] = idx[d] / a.Block[d]
-		within[d] = idx[d] % a.Block[d]
-		grid[d] = a.Dims[d] / a.Block[d]
+	for i := range idx {
+		d := i
+		if !a.RowMajor {
+			d = len(idx) - 1 - i
+		}
+		tileLin = tileLin*(a.Dims[d]/a.Block[d]) + idx[d]/a.Block[d]
+		withinLin = withinLin*a.Block[d] + idx[d]%a.Block[d]
 		tileElems *= a.Block[d]
 	}
-	return (a.linearize(tile, grid)*tileElems + a.linearize(within, a.Block)) * a.ElemSize
+	return (tileLin*tileElems + withinLin) * a.ElemSize
 }
 
 // linearize flattens an index vector over the given extents in the
@@ -268,9 +269,16 @@ type Ref struct {
 // OffsetAt returns the byte offset within the array's file touched by
 // this reference for the given iteration vector.
 func (r *Ref) OffsetAt(iter []int64) int64 {
-	idx := make([]int64, len(r.Index))
-	for d, e := range r.Index {
-		idx[d] = e.Eval(iter)
+	return r.OffsetAtScratch(iter, make([]int64, len(r.Index)))
+}
+
+// OffsetAtScratch is OffsetAt without the allocation: it evaluates
+// the subscripts into scratch, which must have at least len(r.Index)
+// elements and is overwritten.
+func (r *Ref) OffsetAtScratch(iter, scratch []int64) int64 {
+	idx := scratch[:len(r.Index)]
+	for d := range r.Index {
+		idx[d] = r.Index[d].Eval(iter)
 	}
 	return r.Array.OffsetOf(idx)
 }
@@ -352,10 +360,17 @@ func (n *Nest) TotalCost() int64 { return n.Trips() * n.IterCost() }
 // lexicographic execution order) into the iteration vector of actual
 // loop-variable values.
 func (n *Nest) IndexOf(iter int64) []int64 {
-	iv := make([]int64, len(n.Loops))
+	return n.IndexOfInto(make([]int64, len(n.Loops)), iter)
+}
+
+// IndexOfInto is IndexOf without the allocation: it writes the
+// iteration vector into iv, which must have len(n.Loops) elements,
+// and returns it.
+func (n *Nest) IndexOfInto(iv []int64, iter int64) []int64 {
 	for d := len(n.Loops) - 1; d >= 0; d-- {
 		t := n.Loops[d].Trip()
 		if t == 0 {
+			iv[d] = 0
 			continue
 		}
 		iv[d] = n.Loops[d].Lo + (iter%t)*n.Loops[d].Step
