@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-json bench-diff perfbench perfbench-test experiments golden golden-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
+.PHONY: all check build test test-short vet race fuzz-smoke crash-smoke bench bench-json bench-diff perfbench perfbench-test experiments golden golden-drift events-drift examples cover cover-all serve-smoke soak-smoke govulncheck clean
 
 all: check
 
@@ -117,6 +117,17 @@ golden:
 
 golden-drift: golden
 	git diff --exit-code results/experiments.txt
+
+# events-drift regenerates the decision-provenance event logs of a
+# Figure 3 run and of the audited full suite, sequentially so event
+# order is deterministic, and checks them against the committed
+# digests in results/events.sha256: the event log's guard against
+# silent changes, as golden-drift is the experiment output's.
+events-drift:
+	mkdir -p results/events
+	$(GO) run ./cmd/dpmexp -run fig3 -workers 1 -events-out results/events/fig3.jsonl > /dev/null
+	$(GO) run ./cmd/dpmexp -run all -workers 1 -audit -events-out results/events/all.jsonl > /dev/null
+	cd results/events && sha256sum -c ../events.sha256
 
 examples:
 	$(GO) run ./examples/quickstart

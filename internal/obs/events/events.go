@@ -15,7 +15,9 @@
 // evicted (and counted) rather than growing without bound. A nil
 // *Log is a valid sink that records nothing, so the simulator can
 // thread one unconditionally and pay a single predictable branch per
-// emit point.
+// emit point. High-volume producers (a simulation run) write through
+// a Batch (Log.Begin), which stages events in fixed-size chunks and
+// publishes each chunk under one lock.
 package events
 
 import "sync"
@@ -123,12 +125,14 @@ const DefaultCapacity = 1 << 16
 // Log is a fixed-capacity ring of events. All methods are safe for
 // concurrent use and safe on a nil receiver (no-ops that report an
 // empty log), so a single branch-free "is there a log" decision can
-// be threaded through hot paths.
+// be threaded through hot paths. The zero value is an empty log of
+// DefaultCapacity, whose ring is allocated on first use.
 type Log struct {
 	mu      sync.Mutex
-	buf     []Event // ring storage; event seq s lives at (s-1) % cap(buf)
-	seq     uint64  // last assigned sequence number
-	dropped uint64  // events evicted by ring wrap-around
+	buf     []Event  // ring storage; event seq s lives at (s-1) % cap(buf)
+	seq     uint64   // last assigned sequence number
+	dropped uint64   // events evicted by ring wrap-around
+	free    []*Batch // committed batches kept for reuse (see Begin)
 }
 
 // NewLog returns a log holding at most capacity events (the oldest
@@ -141,6 +145,25 @@ func NewLog(capacity int) *Log {
 	return &Log{buf: make([]Event, 0, capacity)}
 }
 
+// put assigns ev the next sequence number and stores it in the ring,
+// evicting the oldest event when full. The caller holds l.mu.
+func (l *Log) put(ev *Event) {
+	if cap(l.buf) == 0 {
+		l.buf = make([]Event, 0, DefaultCapacity)
+	}
+	l.seq++
+	ev.Seq = l.seq
+	idx := int((l.seq - 1) % uint64(cap(l.buf)))
+	if idx < len(l.buf) {
+		if l.buf[idx].Seq != 0 {
+			l.dropped++
+		}
+		l.buf[idx] = *ev
+	} else {
+		l.buf = append(l.buf, *ev)
+	}
+}
+
 // Emit appends ev, assigning and returning its sequence number. The
 // returned seq keys a later Resolve. A nil log returns 0 (a seq no
 // Resolve will ever match).
@@ -149,20 +172,9 @@ func (l *Log) Emit(ev Event) uint64 {
 		return 0
 	}
 	l.mu.Lock()
-	l.seq++
-	ev.Seq = l.seq
-	idx := int((l.seq - 1) % uint64(cap(l.buf)))
-	if idx < len(l.buf) {
-		if l.buf[idx].Seq != 0 {
-			l.dropped++
-		}
-		l.buf[idx] = ev
-	} else {
-		l.buf = append(l.buf, ev)
-	}
-	seq := l.seq
+	l.put(&ev)
 	l.mu.Unlock()
-	return seq
+	return ev.Seq
 }
 
 // Resolve fills in the measured outcome of the decision event with
@@ -174,16 +186,22 @@ func (l *Log) Resolve(seq uint64, out Outcome) {
 		return
 	}
 	l.mu.Lock()
-	idx := int((seq - 1) % uint64(cap(l.buf)))
-	if idx < len(l.buf) && l.buf[idx].Seq == seq {
-		e := &l.buf[idx]
-		e.MeasuredIdleMS = out.MeasuredIdleMS
-		e.WindowMS = out.WindowMS
-		e.ActualJ = out.ActualJ
-		e.OracleJ = out.OracleJ
-		e.RegretJ = out.RegretJ
+	if len(l.buf) > 0 {
+		idx := int((seq - 1) % uint64(cap(l.buf)))
+		if idx < len(l.buf) && l.buf[idx].Seq == seq {
+			out.apply(&l.buf[idx])
+		}
 	}
 	l.mu.Unlock()
+}
+
+// apply writes the outcome into a decision event.
+func (out *Outcome) apply(e *Event) {
+	e.MeasuredIdleMS = out.MeasuredIdleMS
+	e.WindowMS = out.WindowMS
+	e.ActualJ = out.ActualJ
+	e.OracleJ = out.OracleJ
+	e.RegretJ = out.RegretJ
 }
 
 // Len returns the number of events currently held.

@@ -18,6 +18,15 @@ func TestNilLogIsInert(t *testing.T) {
 	if l.Len() != 0 || l.Dropped() != 0 || l.Events() != nil {
 		t.Fatal("nil log reported contents")
 	}
+	b := l.Begin()
+	if b != nil {
+		t.Fatal("nil log returned a non-nil batch")
+	}
+	if seq := b.Emit(Event{Kind: KindSpinDown}); seq != 0 {
+		t.Fatalf("nil batch Emit returned seq %d, want 0", seq)
+	}
+	b.Resolve(1, Outcome{RegretJ: 1})
+	b.Commit()
 }
 
 func TestEmitResolveRoundTrip(t *testing.T) {

@@ -23,6 +23,10 @@ package sim
 // attached the hot path pays one predictable branch per site and
 // allocates nothing, and the arithmetic of the run is untouched
 // either way (events only read state the simulator already computed).
+// With a log attached, events go through a per-run staging batch
+// (events.Batch) that publishes to the shared log a chunk at a time,
+// and the oracle side of every resolved period is priced from the
+// precomputed disk table.
 
 import (
 	"sdpm/internal/obs/events"
@@ -40,13 +44,15 @@ type evDisk struct {
 	baseJ float64
 }
 
-// AttachEvents threads a decision-provenance log through the machine.
-// program and scheme label every emitted event; trigger is the
-// deciding policy's default decision trigger (events.Trig*);
-// breakEvenMS is the threshold input stamped on decision events. A
-// nil log detaches.
+// AttachEvents threads a decision-provenance log through the machine
+// by opening a staging batch on it; the caller must commit m.ev on
+// every return path so the run's events reach the log. program and
+// scheme label every emitted event; trigger is the deciding policy's
+// default decision trigger (events.Trig*); breakEvenMS is the
+// threshold input stamped on decision events. A nil log attaches
+// nothing.
 func (m *Machine) AttachEvents(l *events.Log, program, scheme, trigger string, breakEvenMS float64) {
-	m.ev = l
+	m.ev = l.Begin()
 	if l == nil {
 		return
 	}
@@ -127,13 +133,15 @@ func (m *Machine) emitFault(d int, t float64, detail string) {
 // oracleIdleJ returns the minimum energy a clairvoyant policy could
 // spend over an idle gap of the given length that ends with the disk
 // back at full speed: full-speed idle, a perfectly-timed standby dip,
-// or the best RPM dip.
+// or the best RPM dip. The best-dip scan is served from the disk
+// table, bitwise identical to the Params scan without its per-call
+// pow evaluations and Levels allocation.
 func (m *Machine) oracleIdleJ(idleMS float64) float64 {
 	e := m.p.IdleEnergyJ(idleMS)
 	if s := m.p.StandbyEnergyJ(idleMS); s < e {
 		e = s
 	}
-	if _, dip := m.p.BestRPMForIdle(idleMS); dip < e {
+	if _, dip := m.tbl.BestRPMForIdle(idleMS); dip < e {
 		e = dip
 	}
 	return e
@@ -142,7 +150,7 @@ func (m *Machine) oracleIdleJ(idleMS float64) float64 {
 // oracleTrailJ is oracleIdleJ for a trailing idle period: the disk
 // never needs to return to full speed, so the dips pay no way back.
 func (m *Machine) oracleTrailJ(idleMS float64) float64 {
-	_, e := m.p.BestRPMForTrailingIdle(idleMS)
+	_, e := m.tbl.BestRPMForTrailingIdle(idleMS)
 	if idleMS >= m.p.SpinDownMS {
 		if s := m.p.SpinDownJ + m.p.StandbyW*(idleMS-m.p.SpinDownMS)/1e3; s < e {
 			e = s

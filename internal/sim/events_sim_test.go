@@ -315,25 +315,96 @@ func TestEventsOpenLoop(t *testing.T) {
 	}
 }
 
-// TestRunAllocsAttachedEvents extends the alloc guard: a pre-warmed
-// event log must add no per-request allocations, so runs of different
-// lengths allocate identically with a log attached.
-func TestRunAllocsAttachedEvents(t *testing.T) {
-	log := events.NewLog(1 << 16)
-	measure := func(nReqs int) float64 {
-		tr := hotTrace(4, nReqs, 2.0)
-		cfg := sim.Config{Disk: disk.DefaultParams(), Policy: policy.NewTPM(disk.DefaultParams(), 0), Events: log}
-		run := func() {
-			if _, err := sim.Run(tr, cfg); err != nil {
-				t.Fatal(err)
+// decisionTrace builds an nReqs-request closed-loop trace over nDisks
+// whose every eighth gap is a 20 s idle period (past the TPM
+// break-even), so each power scheme makes and resolves decisions
+// throughout the run. With hints
+// set it is the shape of a compiler-instrumented CMDRPM trace: each
+// long gap opens with a set_rpm down to the lowest level (carrying
+// the predicted idle) and ends with a pre-activation back to full
+// speed ahead of the next request.
+func decisionTrace(p disk.Params, nDisks, nReqs int, hints bool) *trace.Trace {
+	const longGapMS, preActMS = 20000.0, 1500.0
+	tr := &trace.Trace{Program: "decide", NumDisks: nDisks}
+	arrival := 0.0
+	for i := 0; i < nReqs; i++ {
+		d := i % nDisks
+		gap := 2.0
+		if i%8 == 7 {
+			gap = longGapMS
+			if hints {
+				tr.Events = append(tr.Events,
+					trace.Event{Kind: trace.EvPowerOp, Op: trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MinRPM, PredictedIdleMS: longGapMS}},
+					trace.Event{Kind: trace.EvPowerOp, GapMS: longGapMS - preActMS, Op: trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM}})
+				gap = preActMS
 			}
 		}
-		run() // warm up outside the measured region
-		return testing.AllocsPerRun(20, run)
+		arrival += gap
+		tr.Events = append(tr.Events, trace.Event{
+			Kind: trace.EvRequest, GapMS: gap,
+			Req: trace.Request{ArrivalMS: arrival, Disk: d, Block: int64(i) * 128, Bytes: 65536, Kind: trace.Read},
+		})
 	}
-	small := measure(500)
-	large := measure(4000)
-	if large != small {
-		t.Errorf("allocs grew with trace length under an attached event log: %.0f (500 reqs) vs %.0f (4000 reqs)", small, large)
+	return tr
+}
+
+// TestRunAllocsAttachedEvents extends the alloc guard to every
+// decision-making scheme: with a pre-warmed event log attached (alone
+// or beside a collector, as the serving layer attaches both), a run's
+// allocations must not grow with its length — emitting, staging and
+// resolving events, oracle pricing included, allocate nothing per
+// request.
+func TestRunAllocsAttachedEvents(t *testing.T) {
+	p := disk.DefaultParams()
+	cases := []struct {
+		name  string
+		pol   func() sim.Policy
+		hints bool
+	}{
+		{"tpm", func() sim.Policy { return policy.NewTPM(p, 0) }, false},
+		{"drpm", func() sim.Policy { return policy.NewDRPM(p, 4) }, false},
+		{"idrpm", func() sim.Policy { return policy.NewIDRPM(p) }, false},
+		{"cmdrpm", func() sim.Policy { return nil }, true},
+	}
+	for _, c := range cases {
+		for _, withColl := range []bool{false, true} {
+			name := c.name + "/log"
+			if withColl {
+				name += "+collector"
+			}
+			t.Run(name, func(t *testing.T) {
+				log := events.NewLog(1 << 16)
+				var coll *obs.Collector
+				if withColl {
+					coll = obs.New()
+				}
+				var emitted int
+				measure := func(nReqs int) float64 {
+					// The compiled form is memoized outside the run,
+					// as the experiment engine memoizes it per trace.
+					tr := decisionTrace(p, 4, nReqs, c.hints)
+					cfg := sim.Config{Disk: p, Events: log, Obs: coll,
+						Compiled: trace.Compile(tr), PowerCallOverheadMS: sim.DefaultPowerCallOverheadMS}
+					run := func() {
+						cfg.Policy = c.pol() // policies carry per-run state
+						if _, err := sim.Run(tr, cfg); err != nil {
+							t.Fatal(err)
+						}
+					}
+					before := log.Len() + int(log.Dropped())
+					run() // warm up outside the measured region
+					emitted = log.Len() + int(log.Dropped()) - before
+					return testing.AllocsPerRun(20, run)
+				}
+				small := measure(500)
+				large := measure(4000)
+				if emitted < 4000/8 {
+					t.Fatalf("4000-request run emitted only %d events; the trace does not exercise decisions", emitted)
+				}
+				if large != small {
+					t.Errorf("allocs grew with trace length under an attached event log: %.0f (500 reqs) vs %.0f (4000 reqs)", small, large)
+				}
+			})
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"sdpm/internal/disk"
 	"sdpm/internal/faults"
+	"sdpm/internal/obs/events"
 	"sdpm/internal/trace"
 )
 
@@ -253,6 +254,42 @@ func TestNotSpinningErrorThroughRun(t *testing.T) {
 	var nse *NotSpinningError
 	if !errors.As(err, &nse) {
 		t.Fatalf("Run returned %v, want *NotSpinningError", err)
+	}
+}
+
+// spinThenCorrupt spins the disk down after each request and breaks
+// its state machine before every request but the first, so a run
+// records a decision event and then fails.
+type spinThenCorrupt struct{ served int }
+
+func (*spinThenCorrupt) Name() string { return "spin-then-corrupt" }
+func (p *spinThenCorrupt) BeforeService(m *Machine, d int, t float64) {
+	if p.served > 0 {
+		corruptPolicy{}.BeforeService(m, d, t)
+	}
+}
+func (p *spinThenCorrupt) AfterService(m *Machine, d int, t, _ float64) {
+	p.served++
+	m.SpinDownAt(d, t)
+}
+func (*spinThenCorrupt) Finish(*Machine, float64) {}
+
+// TestEventsCommittedOnError: a run that fails part-way still
+// publishes the events it staged before the failure, on both
+// executors.
+func TestEventsCommittedOnError(t *testing.T) {
+	p := disk.DefaultParams()
+	tr := mkTrace(1, req(10, 0, 65536), req(30000, 0, 65536))
+	for name, run := range map[string]func(*trace.Trace, Config) (*Result, error){"closed": Run, "open": RunOpenLoop} {
+		log := events.NewLog(0)
+		_, err := run(tr, Config{Disk: p, Policy: &spinThenCorrupt{}, Events: log})
+		var nse *NotSpinningError
+		if !errors.As(err, &nse) {
+			t.Fatalf("%s: err = %v, want *NotSpinningError", name, err)
+		}
+		if n := events.CountByKind(log.Events())[events.KindSpinDown]; n != 1 {
+			t.Errorf("%s: failed run published %d spin-down events, want 1", name, n)
+		}
 	}
 }
 

@@ -184,10 +184,11 @@ type Machine struct {
 	// every fault path disabled and the machine's arithmetic
 	// bit-identical to a fault-free build.
 	faults *faults.Plan
-	// ev is the decision-provenance event log (see AttachEvents in
-	// events.go); nil keeps every event path disabled. The ev* fields
-	// label emitted events and carry the current trigger context.
-	ev        *events.Log
+	// ev is the run's staging batch on the decision-provenance event
+	// log (see AttachEvents in events.go); nil keeps every event path
+	// disabled. The ev* fields label emitted events and carry the
+	// current trigger context.
+	ev        *events.Batch
 	evProg    string
 	evPolicy  string
 	evPolTrig string

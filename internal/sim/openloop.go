@@ -73,6 +73,7 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 			polTrig = "policy"
 		}
 		m.AttachEvents(cfg.Events, tr.Program, label, polTrig, cfg.Disk.TPMBreakEvenMS())
+		defer m.ev.Commit()
 	}
 	m.ReserveIdles(perDisk)
 	lastCompletion := make([]float64, tr.NumDisks)

@@ -93,7 +93,9 @@ type Config struct {
 	// (power decisions with trigger and inputs, later resolved with
 	// the measured idle and energy regret; spin-up misses; fault
 	// lifecycle; batch bail-out reasons). Like Obs, a nil log costs
-	// one branch per site; an attached log changes no result bit.
+	// one branch per site; an attached log changes no result bit. The
+	// run stages its events in an events.Batch, so they reach the log
+	// a chunk at a time and in full by the time Run returns.
 	Events *events.Log
 	// SchemeLabel overrides the scheme name stamped on events (the
 	// engine labels runs by its scheme enum, which can differ from
@@ -253,6 +255,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			polTrig = "policy"
 		}
 		m.AttachEvents(cfg.Events, tr.Program, label, polTrig, cfg.Disk.TPMBreakEvenMS())
+		defer m.ev.Commit()
 	}
 	// Batching eligibility: the distance-aware seek model carries
 	// per-request head state the fast path does not track, and a
