@@ -107,12 +107,6 @@ type Config struct {
 	// flag is deliberately excluded from Fingerprint — audited and
 	// unaudited runs share cache entries and journal records.
 	Audit bool
-	// DisableBatch forces the simulator's general per-request path
-	// instead of the batched steady-state executor (the -batch=off
-	// escape hatch). Results are bit-identical either way, so — like
-	// Audit — the flag is excluded from Fingerprint: batched and
-	// unbatched runs share cache entries and journal records.
-	DisableBatch bool
 }
 
 // DefaultConfig returns the Table 1 configuration.
@@ -313,6 +307,22 @@ func (in *Instance) Compiled(tr *trace.Trace) *trace.Compiled {
 
 // Run simulates the instance under the given scheme.
 func (in *Instance) Run(s Scheme) (*sim.Result, error) {
+	tr, cfg, err := in.runInput(s)
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.Run(tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	res.Scheme = string(s)
+	res.Program = in.Name
+	return res, nil
+}
+
+// runInput returns the trace and simulator configuration Run
+// simulates for scheme s, with the trace's memoized compiled form.
+func (in *Instance) runInput(s Scheme) (*trace.Trace, sim.Config, error) {
 	cfg := sim.Config{
 		Disk:                in.Cfg.Disk,
 		PowerCallOverheadMS: in.Cfg.PowerCallOverheadMS,
@@ -342,24 +352,14 @@ func (in *Instance) Run(s Scheme) (*sim.Result, error) {
 		}
 		itr, _, err := in.Instrumented(mode)
 		if err != nil {
-			return nil, err
+			return nil, sim.Config{}, err
 		}
 		tr = itr
 	default:
-		return nil, fmt.Errorf("core: unknown scheme %q", s)
+		return nil, sim.Config{}, fmt.Errorf("core: unknown scheme %q", s)
 	}
-	if in.Cfg.DisableBatch {
-		cfg.DisableBatch = true
-	} else {
-		cfg.Compiled = in.Compiled(tr)
-	}
-	res, err := sim.Run(tr, cfg)
-	if err != nil {
-		return nil, err
-	}
-	res.Scheme = string(s)
-	res.Program = in.Name
-	return res, nil
+	cfg.Compiled = in.Compiled(tr)
+	return tr, cfg, nil
 }
 
 // RunOpen replays the instance's trace in open-loop (arrival-driven,

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"sdpm/internal/obs"
-	evpkg "sdpm/internal/obs/events"
 	"sdpm/internal/trace"
 )
 
@@ -58,6 +57,19 @@ type batchEntry struct {
 	idleE   float64
 }
 
+// refresh recomputes the entry for a disk spinning at rpm serving
+// requests of the given size.
+func (c *batchEntry) refresh(m *Machine, rpm int, bytes int64) {
+	c.rpm = rpm
+	c.bytes = bytes
+	c.pwIdle = m.tbl.IdlePowerAt(rpm)
+	c.pwAct = m.tbl.ActivePowerAt(rpm)
+	c.svc = m.tbl.ServiceTimeSeekMS(rpm, bytes, m.p.AvgSeekMS)
+	c.addActJ = c.pwAct * c.svc / 1e3
+	c.residIdx = m.p.LevelIndex(rpm)
+	c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
+}
+
 // batchScratch is the per-disk constant cache (one entry per disk,
 // one allocation per machine).
 type batchScratch []batchEntry
@@ -74,6 +86,14 @@ func (m *Machine) batchScratchFor(n int) batchScratch {
 	return sc
 }
 
+// Bail-out reasons, stamped as the Detail of events.KindBailout.
+const (
+	bailTransition = "disk_transition" // a power action or spin-up is in flight on the disk
+	bailPolicy     = "policy_decision" // the horizon says BeforeService may act
+	bailRemap      = "fault_remap"     // the request hits a remapped bad sector
+	bailDegraded   = "fault_degraded"  // the request falls in a degradation window
+)
+
 // serviceRun walks events[run.Start:run.End] — a compiled run of
 // request events — through the steady-state fast path, servicing
 // requests back to back from index i until it reaches the run's end
@@ -81,7 +101,9 @@ func (m *Machine) batchScratchFor(n int) batchScratch {
 // spinning, a policy decision point (per the horizon), or a
 // fault-plan hit (remap or degradation window). It returns the index
 // of the first unprocessed event and the updated clock; the caller
-// services one event through the general path and re-enters.
+// services one event through the general path and re-enters. A
+// bail-out is recorded on the run's event log, if any, with its
+// reason.
 //
 // The fast path performs, per request, exactly the floating-point
 // operations of the general path (Machine.advance + ServiceBlock) in
@@ -90,25 +112,25 @@ func (m *Machine) batchScratchFor(n int) batchScratch {
 // state: the WaitMS += 0 accumulation (start always equals the issue
 // time here) and the policy's no-op BeforeService comparisons.
 // Results are therefore bit-identical to the general path, which the
-// differential tests in batch_diff_test.go enforce.
+// differential tests enforce (batch_diff_test.go on random traces,
+// internal/core on the paper's workloads).
+//
+// Every configuration takes this one loop. What varies is decided
+// once per call: guarded runs (a fault plan or a policy horizon)
+// check each request out of line before servicing it, and hooked
+// runs (a collector, an event log, a timeline or a per-request
+// AfterService) observe each serviced request in one block after its
+// arithmetic.
 func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock float64, hz Horizon, pol Policy) (int, float64) {
 	sc := m.batchScratchFor(len(m.disks))
-	if m.obs == nil && m.ev == nil && !m.recTimeline && m.faults == nil && hz.NoOpBefore == nil && !hz.AfterPerRequest {
-		// No per-request instrumentation, faults, or policy horizon to
-		// consult: take the branch-free steady-state loop.
-		return m.serviceRunLean(events, i, run, clock, sc)
-	}
+	guarded := m.faults != nil || hz.NoOpBefore != nil
+	hooked := m.obs != nil || m.ev != nil || m.recTimeline || hz.AfterPerRequest
 	hi := run.End
-	// Runs compiled as fully uniform let the loop skip the per-event
-	// gap and size loads (the branches below predict perfectly either
-	// way); the per-disk Block load is only needed when a fault plan
-	// could remap it.
+	// Runs compiled as uniform let the loop skip the per-event gap,
+	// size and disk loads (the branches predict perfectly either way).
 	uniformGap, gapMS := run.GapMS >= 0, run.GapMS
 	uniformBytes, runBytes := run.Bytes != 0, run.Bytes
 	runDisk, pat, start := run.Disk, run.Disks, run.Start
-	checkFaults := m.faults != nil
-	checkHorizon := hz.NoOpBefore != nil
-	recTL := m.recTimeline
 	for i < hi {
 		ev := &events[i]
 		d := runDisk
@@ -118,24 +140,20 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 			d = ev.Req.Disk
 		}
 		s := &m.disks[d]
-		if s.status != StSpinning || s.accT != s.idleFrom {
-			// A power op or spin-up is in flight on this disk; the
-			// general path resolves it (and pays any wait).
-			return i, clock
-		}
 		gap := gapMS
 		if !uniformGap {
 			gap = ev.GapMS
 		}
 		t := clock + gap
-		if checkHorizon && !hz.NoOpBefore(d, s.idleFrom, t, s.rpm) {
+		if s.status != StSpinning || s.accT != s.idleFrom {
+			// A power op or spin-up is in flight on this disk; the
+			// general path resolves it (and pays any wait).
+			m.noteBailout(d, t, bailTransition)
 			return i, clock
 		}
-		if checkFaults {
-			if ev.Req.Block >= 0 && m.faults.Remapped(d, ev.Req.Block) {
-				return i, clock
-			}
-			if factor, _ := m.faults.Degraded(d, t); factor > 1 {
+		if guarded {
+			if reason := m.batchGuard(ev, d, s, t, hz); reason != "" {
+				m.noteBailout(d, t, reason)
 				return i, clock
 			}
 		}
@@ -145,17 +163,11 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		}
 		c := &sc[d]
 		if c.rpm != s.rpm || c.bytes != bytes {
-			c.rpm = s.rpm
-			c.bytes = bytes
-			c.pwIdle = m.tbl.IdlePowerAt(s.rpm)
-			c.pwAct = m.tbl.ActivePowerAt(s.rpm)
-			c.svc = m.tbl.ServiceTimeSeekMS(s.rpm, bytes, m.p.AvgSeekMS)
-			c.addActJ = c.pwAct * c.svc / 1e3
-			c.residIdx = m.p.LevelIndex(s.rpm)
-			c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
+			c.refresh(m, s.rpm, bytes)
 		}
-		idleLen := t - s.idleFrom
-		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+		from := s.idleFrom
+		idleLen := t - from
+		s.idles = append(s.idles, IdlePeriod{StartMS: from, LenMS: idleLen})
 		if idleLen > 0 {
 			// Machine.advance's StSpinning branch for [accT, t].
 			e := c.idleE
@@ -167,12 +179,6 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 			s.stats.IdleEnergyJ += e
 			s.stats.IdleMS += idleLen
 			s.resid[c.residIdx] += idleLen
-			if recTL {
-				s.record(true, s.accT, t, StSpinning, s.rpm, c.pwIdle, false)
-			}
-			if m.obs != nil {
-				m.obs.ObserveResidency(d, obs.StateIdle, s.rpm, idleLen)
-			}
 		}
 		// ServiceBlock's spinning steady state: start == t, no wait.
 		svc := c.svc
@@ -182,175 +188,55 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		s.resid[c.residIdx] += svc
 		s.stats.Requests++
 		end := t + svc
-		if m.obs != nil {
-			m.obs.ObserveResidency(d, obs.StateService, s.rpm, svc)
-			m.obs.ObserveRequest(d, svc, 0, idleLen)
-		}
-		if recTL {
-			s.record(true, t, end, StSpinning, s.rpm, c.pwAct, true)
-		}
 		s.accT = end
 		s.idleFrom = end
-		if m.ev != nil {
-			// Keep the period-start energy snapshot current (the next
-			// idle period on d starts here); see events.go.
-			m.evd[d].baseJ = s.stats.EnergyJ
-		}
 		clock = end
 		i++
-		if hz.AfterPerRequest {
-			// The controller may act on any disk (e.g. DRPM's restore
-			// sweep); the per-disk status and cache checks above pick
-			// that up on the next iteration.
+		if hooked {
+			// What the general path reports for the same request, in
+			// its order: the idle span advance committed, then the
+			// service ServiceBlock performed.
+			if idleLen > 0 {
+				s.record(m.recTimeline, from, t, StSpinning, s.rpm, c.pwIdle, false)
+				if m.obs != nil {
+					m.obs.ObserveResidency(d, obs.StateIdle, s.rpm, idleLen)
+				}
+			}
+			if m.obs != nil {
+				m.obs.ObserveResidency(d, obs.StateService, s.rpm, svc)
+				m.obs.ObserveRequest(d, svc, 0, idleLen)
+			}
+			s.record(m.recTimeline, t, end, StSpinning, s.rpm, c.pwAct, true)
 			if m.ev != nil {
-				m.setTrigger(evpkg.TrigController, 0)
-				pol.AfterService(m, d, end, end-t)
-				m.restoreTrigger()
-			} else {
-				pol.AfterService(m, d, end, end-t)
+				// Keep the period-start energy snapshot current (the
+				// next idle period on d starts here); see events.go.
+				m.evd[d].baseJ = s.stats.EnergyJ
+			}
+			if hz.AfterPerRequest {
+				// The controller may act on any disk (e.g. DRPM's
+				// restore sweep); the per-disk status and cache checks
+				// above pick that up on the next iteration.
+				m.afterService(pol, d, end, end-t)
 			}
 		}
 	}
 	return i, clock
 }
 
-// serviceRunLean is serviceRun specialized for the common engine
-// configuration — no collector, no timeline, no fault plan, and a
-// policy (if any) with neither a BeforeService horizon nor a
-// per-request AfterService. The arithmetic is identical to serviceRun;
-// only the always-false instrumentation branches are gone.
-func (m *Machine) serviceRunLean(events []trace.Event, i int, run *trace.Run, clock float64, sc batchScratch) (int, float64) {
-	if run.Disk >= 0 && run.GapMS >= 0 && run.Bytes != 0 {
-		// Fully homogeneous run on one disk: the steady-state loop
-		// below keeps the disk's accumulators in locals.
-		return m.serviceRunSteady(i, run, clock, sc)
+// batchGuard returns why the request ev to disk d at time t must take
+// the general path — the policy may act before it, or it hits a fault
+// — or "" when the fast path may serve it. Every check is pure.
+func (m *Machine) batchGuard(ev *trace.Event, d int, s *dstate, t float64, hz Horizon) string {
+	if hz.NoOpBefore != nil && !hz.NoOpBefore(d, s.idleFrom, t, s.rpm) {
+		return bailPolicy
 	}
-	hi := run.End
-	uniformGap, gapMS := run.GapMS >= 0, run.GapMS
-	uniformBytes, runBytes := run.Bytes != 0, run.Bytes
-	runDisk, pat, start := run.Disk, run.Disks, run.Start
-	for i < hi {
-		d := runDisk
-		if pat != nil {
-			d = int(pat[i-start])
-		} else if d < 0 {
-			d = events[i].Req.Disk
+	if m.faults != nil {
+		if ev.Req.Block >= 0 && m.faults.Remapped(d, ev.Req.Block) {
+			return bailRemap
 		}
-		s := &m.disks[d]
-		if s.status != StSpinning || s.accT != s.idleFrom {
-			return i, clock
+		if factor, _ := m.faults.Degraded(d, t); factor > 1 {
+			return bailDegraded
 		}
-		gap := gapMS
-		if !uniformGap {
-			gap = events[i].GapMS
-		}
-		t := clock + gap
-		bytes := runBytes
-		if !uniformBytes {
-			bytes = events[i].Req.Bytes
-		}
-		c := &sc[d]
-		if c.rpm != s.rpm || c.bytes != bytes {
-			c.rpm = s.rpm
-			c.bytes = bytes
-			c.pwIdle = m.tbl.IdlePowerAt(s.rpm)
-			c.pwAct = m.tbl.ActivePowerAt(s.rpm)
-			c.svc = m.tbl.ServiceTimeSeekMS(s.rpm, bytes, m.p.AvgSeekMS)
-			c.addActJ = c.pwAct * c.svc / 1e3
-			c.residIdx = m.p.LevelIndex(s.rpm)
-			c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
-		}
-		idleLen := t - s.idleFrom
-		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
-		if idleLen > 0 {
-			e := c.idleE
-			if idleLen != c.idleLen {
-				e = c.pwIdle * idleLen / 1e3
-				c.idleLen, c.idleE = idleLen, e
-			}
-			s.stats.EnergyJ += e
-			s.stats.IdleEnergyJ += e
-			s.stats.IdleMS += idleLen
-			s.resid[c.residIdx] += idleLen
-		}
-		svc := c.svc
-		s.stats.EnergyJ += c.addActJ
-		s.stats.ActiveEnergyJ += c.addActJ
-		s.stats.ActiveMS += svc
-		s.resid[c.residIdx] += svc
-		s.stats.Requests++
-		end := t + svc
-		s.accT = end
-		s.idleFrom = end
-		clock = end
-		i++
 	}
-	return i, clock
-}
-
-// serviceRunSteady services a fully homogeneous run — one disk, one
-// request size, one gap — with the disk's accumulators held in
-// locals and written back once. No state outside this disk can change
-// inside the loop (no policy, faults, or instrumentation on this
-// path), so hoisting is safe; the accumulation order over the locals
-// is exactly the per-request order, so the results are bit-identical.
-func (m *Machine) serviceRunSteady(i int, run *trace.Run, clock float64, sc batchScratch) (int, float64) {
-	d := run.Disk
-	s := &m.disks[d]
-	if s.status != StSpinning || s.accT != s.idleFrom {
-		return i, clock
-	}
-	gap, bytes := run.GapMS, run.Bytes
-	c := &sc[d]
-	if c.rpm != s.rpm || c.bytes != bytes {
-		c.rpm = s.rpm
-		c.bytes = bytes
-		c.pwIdle = m.tbl.IdlePowerAt(s.rpm)
-		c.pwAct = m.tbl.ActivePowerAt(s.rpm)
-		c.svc = m.tbl.ServiceTimeSeekMS(s.rpm, bytes, m.p.AvgSeekMS)
-		c.addActJ = c.pwAct * c.svc / 1e3
-		c.residIdx = m.p.LevelIndex(s.rpm)
-		c.idleLen = -1
-	}
-	idleFrom := s.idleFrom
-	idles := s.idles
-	energyJ, idleEJ, idleMS := s.stats.EnergyJ, s.stats.IdleEnergyJ, s.stats.IdleMS
-	actEJ, actMS := s.stats.ActiveEnergyJ, s.stats.ActiveMS
-	reqs := s.stats.Requests
-	resid := s.resid[c.residIdx]
-	svc, addActJ, pwIdle := c.svc, c.addActJ, c.pwIdle
-	memoLen, memoE := c.idleLen, c.idleE
-	for ; i < run.End; i++ {
-		t := clock + gap
-		idleLen := t - idleFrom
-		idles = append(idles, IdlePeriod{StartMS: idleFrom, LenMS: idleLen})
-		if idleLen > 0 {
-			e := memoE
-			if idleLen != memoLen {
-				e = pwIdle * idleLen / 1e3
-				memoLen, memoE = idleLen, e
-			}
-			energyJ += e
-			idleEJ += e
-			idleMS += idleLen
-			resid += idleLen
-		}
-		energyJ += addActJ
-		actEJ += addActJ
-		actMS += svc
-		resid += svc
-		reqs++
-		end := t + svc
-		idleFrom = end
-		clock = end
-	}
-	s.idles = idles
-	s.accT = idleFrom
-	s.idleFrom = idleFrom
-	s.stats.EnergyJ, s.stats.IdleEnergyJ, s.stats.IdleMS = energyJ, idleEJ, idleMS
-	s.stats.ActiveEnergyJ, s.stats.ActiveMS = actEJ, actMS
-	s.stats.Requests = reqs
-	s.resid[c.residIdx] = resid
-	c.idleLen, c.idleE = memoLen, memoE
-	return i, clock
+	return ""
 }

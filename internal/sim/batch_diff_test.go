@@ -4,11 +4,13 @@ package sim_test
 // on randomized traces — varying disk counts, request mixes, gaps,
 // embedded power ops, policies, and fault plans — the batched and the
 // general per-request paths must produce identical Results, down to
-// the last bit of every float. Any divergence is a correctness bug in
-// the batching fast path, never acceptable drift. The test runs under
-// `make race` (internal/sim is in the race list).
+// the last bit of every float, and identical metrics in an attached
+// collector. Any divergence is a correctness bug in the batching fast
+// path, never acceptable drift. The test runs under `make race`
+// (internal/sim is in the race list).
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -16,6 +18,7 @@ import (
 
 	"sdpm/internal/disk"
 	"sdpm/internal/faults"
+	"sdpm/internal/obs"
 	"sdpm/internal/obs/events"
 	"sdpm/internal/policy"
 	"sdpm/internal/sim"
@@ -150,12 +153,16 @@ func TestBatchDifferential(t *testing.T) {
 						}
 						cfg.Faults = plan
 					}
+					// Each path gets its own collector; their expositions
+					// must match byte for byte.
 					batched := cfg
 					batched.Policy = diffPolicy(pol, p, nDisks)
 					batched.Compiled = comp
+					batched.Obs = obs.New()
 					want := cfg
 					want.Policy = diffPolicy(pol, p, nDisks)
 					want.DisableBatch = true
+					want.Obs = obs.New()
 					// Event tracing attached to the batched path must
 					// change no result bit (the log only reads state).
 					traced := cfg
@@ -175,6 +182,9 @@ func TestBatchDifferential(t *testing.T) {
 					if !reflect.DeepEqual(rb, rt) {
 						t.Errorf("policy %s faults=%t: event tracing perturbed the batched result", pol, withFaults)
 					}
+					if mb, mg := promText(t, batched.Obs), promText(t, want.Obs); mb != mg {
+						t.Errorf("policy %s faults=%t: batched and general collector metrics differ:\n%s\nvs\n%s", pol, withFaults, mb, mg)
+					}
 					if !reflect.DeepEqual(rb, rg) {
 						t.Errorf("policy %s faults=%t: batched and general results differ", pol, withFaults)
 						if rb.EnergyJ != rg.EnergyJ {
@@ -188,6 +198,49 @@ func TestBatchDifferential(t *testing.T) {
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// promText renders c's Prometheus exposition.
+func promText(t *testing.T, c *obs.Collector) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := obs.WritePrometheus(&b, c); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestCompiledForOtherTrace passes Run a compiled form built from a
+// different trace of the same length. Run must ignore it and simulate
+// the trace it was given, exactly as with no compiled form: neither
+// reuse the other trace's runs (a wrong result when only the gaps
+// differ) nor its per-disk counts and validation (an index past the
+// machine's disks when the disk count differs).
+func TestCompiledForOtherTrace(t *testing.T) {
+	p := disk.DefaultParams()
+	comp := trace.Compile(hotTrace(8, 1000, 2.0))
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+	}{
+		{"other-gaps", hotTrace(8, 1000, 7.0)},
+		{"fewer-disks", hotTrace(1, 1000, 2.0)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := sim.Run(tc.tr, sim.Config{Disk: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sim.Run(tc.tr, sim.Config{Disk: p, Compiled: comp})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("ExecMS %v, EnergyJ %v with the other trace's compiled form; want %v, %v",
+					got.ExecMS, got.EnergyJ, want.ExecMS, want.EnergyJ)
 			}
 		})
 	}

@@ -79,9 +79,9 @@ func BenchmarkSimHotPathNoBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSimSteadyRun measures the fully homogeneous case the
-// batched executor is built for: one disk, uniform size and gap — a
-// single compiled run serviced end to end by the steady-state loop.
+// BenchmarkSimSteadyRun measures the fully homogeneous case: one
+// disk, uniform size and gap — a single compiled run serviced end to
+// end by the batched loop with no policy, faults or instrumentation.
 func BenchmarkSimSteadyRun(b *testing.B) {
 	tr := hotTrace(1, 10000, 2.0)
 	cfg := sim.Config{Disk: disk.DefaultParams(), Compiled: trace.Compile(tr)}

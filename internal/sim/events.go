@@ -28,10 +28,7 @@ package sim
 // and the oracle side of every resolved period is priced from the
 // precomputed disk table.
 
-import (
-	"sdpm/internal/obs/events"
-	"sdpm/internal/trace"
-)
+import "sdpm/internal/obs/events"
 
 // evDisk is the per-disk decision-tracking state.
 type evDisk struct {
@@ -78,6 +75,30 @@ func (m *Machine) setTrigger(trig string, predictedIdleMS float64) {
 func (m *Machine) restoreTrigger() {
 	m.evTrig = m.evPolTrig
 	m.evPred = 0
+}
+
+// afterService runs pol's AfterService hook; its decisions are
+// stamped with the controller trigger.
+func (m *Machine) afterService(pol Policy, d int, end, responseMS float64) {
+	if m.ev == nil {
+		pol.AfterService(m, d, end, responseMS)
+		return
+	}
+	m.setTrigger(events.TrigController, 0)
+	pol.AfterService(m, d, end, responseMS)
+	m.restoreTrigger()
+}
+
+// finishPolicy runs pol's Finish hook; its decisions are stamped with
+// the finish trigger.
+func (m *Machine) finishPolicy(pol Policy, endT float64) {
+	if m.ev == nil {
+		pol.Finish(m, endT)
+		return
+	}
+	m.setTrigger(events.TrigFinish, 0)
+	pol.Finish(m, endT)
+	m.restoreTrigger()
 }
 
 // emitDecision records one power action on disk d effective at time t
@@ -159,38 +180,12 @@ func (m *Machine) oracleTrailJ(idleMS float64) float64 {
 	return e
 }
 
-// emitBailout records why the batched executor dropped event i of a
-// compiled run to the general path, re-deriving the bail condition
-// with the same (pure) checks serviceRun just made. Detail holds the
-// reason: disk_transition (a power action or spin-up is in flight on
-// the disk), policy_decision (the policy's horizon says BeforeService
-// may act), fault_remap / fault_degraded (a fault-plan hit needs the
-// general service path).
-func (m *Machine) emitBailout(evs []trace.Event, i int, run *trace.Run, clock float64, hz Horizon) {
-	ev := &evs[i]
-	d := run.Disk
-	if run.Disks != nil {
-		d = int(run.Disks[i-run.Start])
-	} else if d < 0 {
-		d = ev.Req.Disk
-	}
-	s := &m.disks[d]
-	gap := run.GapMS
-	if gap < 0 {
-		gap = ev.GapMS
-	}
-	t := clock + gap
-	reason := "unknown"
-	if s.status != StSpinning || s.accT != s.idleFrom {
-		reason = "disk_transition"
-	} else if hz.NoOpBefore != nil && !hz.NoOpBefore(d, s.idleFrom, t, s.rpm) {
-		reason = "policy_decision"
-	} else if m.faults != nil {
-		if ev.Req.Block >= 0 && m.faults.Remapped(d, ev.Req.Block) {
-			reason = "fault_remap"
-		} else if factor, _ := m.faults.Degraded(d, t); factor > 1 {
-			reason = "fault_degraded"
-		}
+// noteBailout records, when a log is attached, that the batched
+// executor dropped the request to disk d at time t to the general
+// path. reason is one of the bail* constants (batch.go).
+func (m *Machine) noteBailout(d int, t float64, reason string) {
+	if m.ev == nil {
+		return
 	}
 	m.ev.Emit(events.Event{
 		TMS:     t,

@@ -82,12 +82,13 @@ type Config struct {
 	// When nil (and batching is not disabled or ineligible), Run
 	// compiles the trace itself; callers that run many schemes over
 	// one trace should pass a memoized form instead. A Compiled built
-	// from a different trace is detected and recompiled.
+	// from a different trace (see trace.Compiled.For) is ignored: Run
+	// validates and compiles the trace it was given.
 	Compiled *trace.Compiled
 	// DisableBatch forces the general per-request path even when a
-	// compiled form is available — the -batch=off escape hatch.
-	// Results are bit-identical either way (enforced by differential
-	// tests); the switch exists to prove exactly that in the field.
+	// compiled form is available. The general path is the reference
+	// the differential tests and the *NoBatch benchmarks compare the
+	// batched executor against; results are bit-identical either way.
 	DisableBatch bool
 	// Events, when non-nil, receives decision-provenance events
 	// (power decisions with trigger and inputs, later resolved with
@@ -183,13 +184,7 @@ func (e *runExec) step(i int) error {
 			return err
 		}
 		if e.cfg.Policy != nil {
-			if e.m.ev != nil {
-				e.m.setTrigger(events.TrigController, 0)
-				e.cfg.Policy.AfterService(e.m, d, end, end-e.clock)
-				e.m.restoreTrigger()
-			} else {
-				e.cfg.Policy.AfterService(e.m, d, end, end-e.clock)
-			}
+			e.m.afterService(e.cfg.Policy, d, end, end-e.clock)
 		}
 		e.clock = end
 	}
@@ -199,24 +194,87 @@ func (e *runExec) step(i int) error {
 // Run simulates the trace under the configuration and returns the
 // result.
 func Run(tr *trace.Trace, cfg Config) (*Result, error) {
+	if cfg.PowerCallOverheadMS < 0 {
+		return nil, fmt.Errorf("sim: negative power call overhead")
+	}
+	// Batching eligibility: the distance-aware seek model carries
+	// per-request head state the fast path does not track, and a
+	// policy must describe its decision horizon to be skipped over.
+	var hz Horizon
+	batching := !cfg.DisableBatch && !cfg.DistanceAwareSeek
+	if cfg.Policy != nil {
+		if hp, ok := cfg.Policy.(HorizonPolicy); ok {
+			hz = hp.Horizon()
+		} else {
+			batching = false
+		}
+	}
+	// A compiled form of this very trace carries a Validated flag from
+	// compile time; trusting it saves a full trace walk per run (the
+	// engine runs many schemes over one memoized trace).
+	comp := cfg.Compiled
+	if !comp.For(tr) {
+		comp = nil
+	}
+	m, err := startRun(tr, &cfg, comp != nil && comp.Validated, "")
+	if err != nil {
+		return nil, err
+	}
+	defer m.ev.Commit()
+	if batching && comp == nil {
+		comp = trace.Compile(tr)
+	}
+	// Size the per-disk idle-period lists exactly (one idle period per
+	// request plus the trailing one) so the event walk never grows
+	// them.
+	if comp != nil {
+		m.ReserveIdles(comp.PerDisk)
+	} else {
+		m.ReserveIdles(tr.PerDiskRequests())
+	}
+	e := runExec{m: m, tr: tr, cfg: &cfg}
+	i, ri := 0, 0
+	for i < len(tr.Events) {
+		if batching && ri < len(comp.Runs) && comp.Runs[ri].Start == i {
+			run := &comp.Runs[ri]
+			ri++
+			for i < run.End {
+				i, e.clock = m.serviceRun(tr.Events, i, run, e.clock, hz, cfg.Policy)
+				if i < run.End {
+					// One event through the general path (a policy
+					// action, fault hit, or transitional disk state),
+					// then back to the fast loop.
+					if err := e.step(i); err != nil {
+						return nil, err
+					}
+					i++
+				}
+			}
+			continue
+		}
+		if err := e.step(i); err != nil {
+			return nil, err
+		}
+		i++
+	}
+	return m.result(tr, &cfg, e.clock, e.powerOps, 0, "")
+}
+
+// startRun builds and wires the machine for one run of tr under cfg,
+// shared by Run and RunOpenLoop. It validates the disk model, and the
+// trace unless it is already known to be valid; turns on the seek
+// model, timeline and collector cfg asks for; and attaches the fault
+// plan and the event log. suffix marks the replay mode in scheme
+// labels ("" for closed loop). The caller must commit m.ev on every
+// return path.
+func startRun(tr *trace.Trace, cfg *Config, validated bool, suffix string) (*Machine, error) {
 	if err := cfg.Disk.Validate(); err != nil {
 		return nil, err
 	}
-	// A compiled form whose NumEvents matches carries a Validated flag
-	// from compile time; trusting it saves a full trace walk per run
-	// (the engine runs many schemes over one memoized trace). A nil or
-	// mismatched form falls back to validating here.
-	comp := cfg.Compiled
-	if comp != nil && comp.NumEvents != len(tr.Events) {
-		comp = nil
-	}
-	if comp == nil || !comp.Validated {
+	if !validated {
 		if err := tr.Validate(); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.PowerCallOverheadMS < 0 {
-		return nil, fmt.Errorf("sim: negative power call overhead")
 	}
 	m := NewMachine(tr.NumDisks, cfg.Disk)
 	if cfg.DistanceAwareSeek {
@@ -242,11 +300,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.Events != nil {
 		label := cfg.SchemeLabel
 		if label == "" {
-			if cfg.Policy != nil {
-				label = cfg.Policy.Name()
-			} else {
-				label = "embedded"
-			}
+			label = schemeName(cfg.Policy, suffix)
 		}
 		polTrig := ""
 		if tp, ok := cfg.Policy.(TriggerPolicy); ok {
@@ -255,90 +309,23 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 			polTrig = "policy"
 		}
 		m.AttachEvents(cfg.Events, tr.Program, label, polTrig, cfg.Disk.TPMBreakEvenMS())
-		defer m.ev.Commit()
 	}
-	// Batching eligibility: the distance-aware seek model carries
-	// per-request head state the fast path does not track, and a
-	// policy must describe its decision horizon to be skipped over.
-	var hz Horizon
-	batching := !cfg.DisableBatch && !cfg.DistanceAwareSeek
+	return m, nil
+}
+
+// result ends a run at endT, shared by Run and RunOpenLoop: it runs
+// the policy's Finish hook, closes the machine's accounting, and
+// assembles and (under cfg.Audit) audits the result. extraWaitMS is
+// waiting the machine does not see (open-loop queueing).
+func (m *Machine) result(tr *trace.Trace, cfg *Config, endT float64, powerOps int, extraWaitMS float64, suffix string) (*Result, error) {
 	if cfg.Policy != nil {
-		if hp, ok := cfg.Policy.(HorizonPolicy); ok {
-			hz = hp.Horizon()
-		} else {
-			batching = false
-		}
+		m.finishPolicy(cfg.Policy, endT)
 	}
-	if batching && comp == nil {
-		comp = trace.Compile(tr)
-	}
-	// Size the per-disk idle-period lists exactly (one idle period per
-	// request plus the trailing one) so the event loop never grows
-	// them.
-	var perDisk []int
-	if comp != nil {
-		perDisk = comp.PerDisk
-	} else {
-		perDisk = make([]int, tr.NumDisks)
-		for i := range tr.Events {
-			if tr.Events[i].Kind == trace.EvRequest {
-				perDisk[tr.Events[i].Req.Disk]++
-			}
-		}
-	}
-	m.ReserveIdles(perDisk)
-	e := runExec{m: m, tr: tr, cfg: &cfg}
-	if batching {
-		ri := 0
-		i := 0
-		for i < len(tr.Events) {
-			if ri < len(comp.Runs) && comp.Runs[ri].Start == i {
-				run := &comp.Runs[ri]
-				ri++
-				for i < run.End {
-					i, e.clock = m.serviceRun(tr.Events, i, run, e.clock, hz, cfg.Policy)
-					if i < run.End {
-						// One event through the general path (a policy
-						// action, fault hit, or transitional disk
-						// state), then back to the fast loop.
-						if m.ev != nil {
-							m.emitBailout(tr.Events, i, run, e.clock, hz)
-						}
-						if err := e.step(i); err != nil {
-							return nil, err
-						}
-						i++
-					}
-				}
-				continue
-			}
-			if err := e.step(i); err != nil {
-				return nil, err
-			}
-			i++
-		}
-	} else {
-		for i := range tr.Events {
-			if err := e.step(i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	clock := e.clock
-	powerOps := e.powerOps
-	if cfg.Policy != nil {
-		if m.ev != nil {
-			m.setTrigger(events.TrigFinish, 0)
-			cfg.Policy.Finish(m, clock)
-			m.restoreTrigger()
-		} else {
-			cfg.Policy.Finish(m, clock)
-		}
-	}
-	stats, idles := m.Finish(clock)
+	stats, idles := m.Finish(endT)
 	res := &Result{
 		Program:  tr.Program,
-		ExecMS:   clock,
+		Scheme:   schemeName(cfg.Policy, suffix),
+		ExecMS:   endT,
 		Disks:    stats,
 		Idles:    idles,
 		PowerOps: powerOps,
@@ -346,19 +333,12 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.RecordTimeline || cfg.Audit {
 		res.Timelines = m.Timelines()
 	}
-	if cfg.Policy != nil {
-		res.Scheme = cfg.Policy.Name()
-	} else {
-		// No policy means the trace's embedded power ops (if any)
-		// drove the disks; name the scheme so result tables and
-		// metric labels are never blank.
-		res.Scheme = "embedded"
-	}
 	for d := range stats {
 		res.EnergyJ += stats[d].EnergyJ
 		res.Requests += stats[d].Requests
 		res.TotalWaitMS += stats[d].WaitMS
 	}
+	res.TotalWaitMS += extraWaitMS
 	if cfg.Audit {
 		if aerr := Audit(res, cfg.Disk, cfg.Faults != nil); aerr != nil {
 			return nil, aerr
@@ -368,4 +348,15 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// schemeName names a run's scheme: the policy's name, or "embedded"
+// when no policy runs and the trace's own power ops (if any) drive
+// the disks, so result tables and metric labels are never blank.
+// suffix marks the replay mode.
+func schemeName(pol Policy, suffix string) string {
+	if pol == nil {
+		return "embedded" + suffix
+	}
+	return pol.Name() + suffix
 }

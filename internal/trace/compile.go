@@ -48,8 +48,7 @@ type Run struct {
 // is memoized alongside instance memoization so schemes sharing a
 // trace share the compiled form.
 type Compiled struct {
-	// NumEvents is len(Events) of the source trace; consumers use it
-	// to reject a compiled form paired with the wrong trace.
+	// NumEvents is len(Events) of the source trace.
 	NumEvents int
 	// Validated records that the source trace passed Validate at
 	// compile time, letting the simulator skip re-validating the same
@@ -65,6 +64,21 @@ type Compiled struct {
 	// Runs lists the request stretches long enough to batch, in
 	// ascending, non-overlapping Start order.
 	Runs []Run
+	// first is &Events[0] of the source trace (nil when it had none);
+	// with NumEvents and NumDisks it identifies the event slice
+	// Compile saw (see For).
+	first *Event
+}
+
+// For reports whether c was compiled from tr's event slice: the same
+// backing array, length and disk count. Anything else — another
+// trace, even one of the same length, or a nil c — needs its own
+// compiled form.
+func (c *Compiled) For(tr *Trace) bool {
+	if c == nil || c.NumEvents != len(tr.Events) || c.NumDisks != tr.NumDisks {
+		return false
+	}
+	return c.NumEvents == 0 || c.first == &tr.Events[0]
 }
 
 // minRunEvents is the shortest request stretch worth a Run entry.
@@ -77,6 +91,9 @@ const minRunEvents = 4
 // valid only for that exact event slice.
 func Compile(tr *Trace) *Compiled {
 	c := &Compiled{NumEvents: len(tr.Events), NumDisks: tr.NumDisks, PerDisk: make([]int, tr.NumDisks)}
+	if len(tr.Events) > 0 {
+		c.first = &tr.Events[0]
+	}
 	c.Validated = tr.Validate() == nil
 	i := 0
 	for i < len(tr.Events) {

@@ -249,3 +249,25 @@ func TestMergeOpen(t *testing.T) {
 		t.Error("merged despite disk overflow")
 	}
 }
+
+func TestCompiledFor(t *testing.T) {
+	tr := sampleTrace()
+	c := Compile(tr)
+	if !c.For(tr) {
+		t.Error("compiled form does not match its own trace")
+	}
+	copied := *tr
+	copied.Events = append([]Event(nil), tr.Events...)
+	if c.For(&copied) {
+		t.Error("compiled form matches an equal trace with another event slice")
+	}
+	fewer := *tr
+	fewer.NumDisks = 3
+	if c.For(&fewer) {
+		t.Error("compiled form matches a trace with another disk count")
+	}
+	var none *Compiled
+	if none.For(tr) {
+		t.Error("nil compiled form matches a trace")
+	}
+}
