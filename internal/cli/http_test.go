@@ -28,7 +28,9 @@ func TestDebugServerEndpoints(t *testing.T) {
 	coll := obs.New()
 	coll.CountSimRun()
 	coll.EnsureDisks(1, 3000, 3000, 1)
-	coll.ObserveRequest(0, 1.5, 0, 10)
+	tl := coll.Begin(1)
+	tl.ObserveRequest(0, 1.5, 0, 10)
+	tl.Commit()
 	addr, shutdown, err := StartDebugServer("127.0.0.1:0", coll, func() any {
 		return map[string]string{"phase": "testing"}
 	})

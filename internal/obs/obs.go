@@ -9,12 +9,29 @@
 //
 // A nil *Collector is a valid no-op everywhere: every method guards
 // its receiver, so instrumented code paths carry a single branch and
-// zero allocations when observability is off. An attached Collector
-// also allocates nothing per event: histograms are fixed atomic
-// arrays, per-disk storage is preallocated by EnsureDisks, and all
-// updates are atomic adds (float accumulators use a CAS loop). One
-// Collector may be shared by any number of concurrent simulations,
-// cache lookups, and pool workers.
+// zero allocations when observability is off. One Collector may be
+// shared by any number of concurrent simulations, cache lookups, and
+// pool workers; its counters and histogram buckets are atomics.
+//
+// A simulation run does not update the collector per event. It opens
+// a Tally (Collector.Begin), observes into the tally's plain fields,
+// and the tally publishes to the collector every ChunkRequests
+// requests and when the run commits it. The contract:
+//
+//   - Every count and every histogram bucket count is exact.
+//   - Float accumulators (histogram sums, residency milliseconds) equal
+//     the per-observation sums up to rounding: a tally sums each chunk
+//     before adding it, which reassociates the additions.
+//   - A sequential run is deterministic run to run, and the same
+//     observation stream always publishes the same bits, since
+//     publication happens at fixed request counts.
+//   - A live read (/metrics, /status) lags a running simulation by
+//     fewer than ChunkRequests of its requests; once the run returns,
+//     successfully or not, everything it observed is published.
+//
+// Observation allocates nothing per event: tallies are reused through
+// a free list on the collector, and per-disk storage is preallocated
+// by EnsureDisks.
 package obs
 
 import (
@@ -46,27 +63,37 @@ var bucketBoundsMS = [16]float64{
 	250, 500, 1000, 2500, 5000, 15000, 60000, 300000,
 }
 
+// bucketIndex returns the index of the bucket v falls in; the last
+// index is the +Inf bucket.
+func bucketIndex(v float64) int {
+	i := 0
+	for i < len(bucketBoundsMS) && v > bucketBoundsMS[i] {
+		i++
+	}
+	return i
+}
+
 // Histogram is a fixed-bucket histogram of millisecond durations.
 // Observations are lock-free and allocation-free.
 type Histogram struct {
 	counts [len(bucketBoundsMS) + 1]atomic.Int64 // last bucket is +Inf
 	sum    afloat
-	count  atomic.Int64
 }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	i := 0
-	for i < len(bucketBoundsMS) && v > bucketBoundsMS[i] {
-		i++
-	}
-	h.counts[i].Add(1)
-	h.count.Add(1)
+	h.counts[bucketIndex(v)].Add(1)
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations, summed from the buckets.
+func (h *Histogram) Count() int64 {
+	var n int64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
@@ -254,8 +281,9 @@ type Collector struct {
 	serveWaitMS       Histogram
 	serveMS           Histogram
 
-	mu    sync.Mutex // serializes EnsureDisks growth
+	mu    sync.Mutex // serializes EnsureDisks growth; guards free
 	disks atomic.Pointer[[]*diskMetrics]
+	free  []*Tally // committed tallies kept for reuse (see Begin)
 }
 
 // New returns an empty collector.
@@ -292,16 +320,6 @@ func (c *Collector) EnsureDisks(n, minRPM, rpmStep, numLevels int) {
 	c.disks.Store(&ds)
 }
 
-// disk returns disk d's accumulators (nil when EnsureDisks has not
-// covered d).
-func (c *Collector) disk(d int) *diskMetrics {
-	ds := c.disks.Load()
-	if ds == nil || d < 0 || d >= len(*ds) {
-		return nil
-	}
-	return (*ds)[d]
-}
-
 // NumDisks reports how many disks EnsureDisks has covered.
 func (c *Collector) NumDisks() int {
 	if c == nil {
@@ -320,66 +338,6 @@ func (c *Collector) CountSimRun() {
 		return
 	}
 	c.simRuns.Add(1)
-}
-
-// ObserveRequest records one serviced request on disk d: its service
-// time, its readiness wait, and the idle period that ended at its
-// issue.
-func (c *Collector) ObserveRequest(d int, svcMS, waitMS, idleMS float64) {
-	if c == nil {
-		return
-	}
-	c.requests.Add(1)
-	if dm := c.disk(d); dm != nil {
-		dm.requests.Add(1)
-	}
-	c.serviceMS.Observe(svcMS)
-	c.waitMS.Observe(waitMS)
-	c.idleMS.Observe(idleMS)
-}
-
-// ObserveResidency accumulates ms of residency for disk d in the
-// given state; rpm attributes spinning time (service/idle) to the
-// disk's RPM residency grid and is ignored for the other states.
-func (c *Collector) ObserveResidency(d int, st DiskState, rpm int, ms float64) {
-	if c == nil {
-		return
-	}
-	dm := c.disk(d)
-	if dm == nil {
-		return
-	}
-	dm.stateMS[st].Add(ms)
-	if st == StateService || st == StateIdle {
-		if i, ok := dm.levelIndex(rpm); ok {
-			dm.rpmMS[i].Add(ms)
-		} else {
-			dm.otherMS.Add(ms)
-		}
-	}
-}
-
-// CountPowerOp records one executed power-management operation.
-func (c *Collector) CountPowerOp(k PowerOpKind) {
-	if c == nil {
-		return
-	}
-	c.powerOps[k].Add(1)
-}
-
-// CountSpinupMiss records a request that blocked on a spin-up:
-// onDemand when the disk was still in (or heading to) standby — no
-// pre-activation at all — and in-flight otherwise (the spin-up was
-// issued but completed too late).
-func (c *Collector) CountSpinupMiss(onDemand bool) {
-	if c == nil {
-		return
-	}
-	if onDemand {
-		c.missOnDemand.Add(1)
-	} else {
-		c.missInflight.Add(1)
-	}
 }
 
 // SpinupMisses returns the (ondemand, inflight) misprediction counts.
@@ -404,14 +362,6 @@ func (c *Collector) PowerOps(k PowerOpKind) int64 {
 		return 0
 	}
 	return c.powerOps[k].Load()
-}
-
-// CountFault records one injected-fault event.
-func (c *Collector) CountFault(k FaultKind) {
-	if c == nil {
-		return
-	}
-	c.faults[k].Add(1)
 }
 
 // FaultCount returns the injected-fault event count for one kind.

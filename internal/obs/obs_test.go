@@ -10,10 +10,16 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	var c *Collector
 	c.CountSimRun()
 	c.EnsureDisks(4, 3000, 1200, 11)
-	c.ObserveRequest(0, 1, 2, 3)
-	c.ObserveResidency(0, StateIdle, 15000, 5)
-	c.CountPowerOp(OpSpinDown)
-	c.CountSpinupMiss(true)
+	tl := c.Begin(4)
+	if tl != nil {
+		t.Fatal("nil collector opened a tally")
+	}
+	tl.ObserveRequest(0, 1, 2, 3)
+	tl.ObserveResidency(0, StateIdle, 15000, 5)
+	tl.CountPowerOp(OpSpinDown)
+	tl.CountSpinupMiss(true)
+	tl.CountFault(FaultRemap)
+	tl.Commit()
 	c.CountCacheHit()
 	c.CountCacheMiss()
 	c.CountCacheWait()
@@ -33,11 +39,14 @@ func TestNilCollectorIsSafe(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	var h Histogram
+	c := New()
+	tl := c.Begin(0)
 	vals := []float64{0, 0.5, 0.6, 10, 1e9}
 	for _, v := range vals {
-		h.Observe(v)
+		tl.ObserveRequest(0, v, 0, 0)
 	}
+	tl.Commit()
+	h := &c.serviceMS
 	if h.Count() != int64(len(vals)) {
 		t.Fatalf("count = %d, want %d", h.Count(), len(vals))
 	}
@@ -59,7 +68,9 @@ func TestHistogramBuckets(t *testing.T) {
 func TestEnsureDisksGrowsAndKeeps(t *testing.T) {
 	c := New()
 	c.EnsureDisks(2, 3000, 1200, 11)
-	c.ObserveResidency(1, StateIdle, 3000, 7)
+	tl := c.Begin(2)
+	tl.ObserveResidency(1, StateIdle, 3000, 7)
+	tl.Commit()
 	c.EnsureDisks(4, 3000, 1200, 11) // grow; disk 1 data must survive
 	c.EnsureDisks(1, 3000, 1200, 11) // shrink request is a no-op
 	if c.NumDisks() != 4 {
@@ -68,11 +79,19 @@ func TestEnsureDisksGrowsAndKeeps(t *testing.T) {
 	if got := c.disk(1).rpmMS[0].Load(); got != 7 {
 		t.Fatalf("disk1 rpm residency lost on grow: %g", got)
 	}
-	// Out-of-range disk and off-grid RPM must not panic.
-	c.ObserveRequest(99, 1, 0, 0)
-	c.ObserveResidency(0, StateIdle, 3001, 1)
+	// Out-of-range disks and an off-grid RPM must not panic; a tally
+	// asked for more disks than EnsureDisks covered takes what exists.
+	tl = c.Begin(9)
+	tl.ObserveRequest(99, 1, 0, 0)
+	tl.ObserveRequest(-1, 1, 0, 0)
+	tl.ObserveResidency(99, StateIdle, 3000, 1)
+	tl.ObserveResidency(0, StateIdle, 3001, 1)
+	tl.Commit()
 	if got := c.disk(0).otherMS.Load(); got != 1 {
 		t.Fatalf("off-grid residency = %g, want 1", got)
+	}
+	if got := c.Requests(); got != 2 {
+		t.Fatalf("requests = %d, want 2 (out-of-range disks still count)", got)
 	}
 }
 
@@ -84,10 +103,12 @@ func TestCollectorConcurrentUse(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			tl := c.Begin(2)
+			defer tl.Commit()
 			for i := 0; i < 1000; i++ {
-				c.ObserveRequest(i%2, 1.5, 0, 10)
-				c.ObserveResidency(i%2, StateIdle, 15000, 0.25)
-				c.CountPowerOp(OpSetRPM)
+				tl.ObserveRequest(i%2, 1.5, 0, 10)
+				tl.ObserveResidency(i%2, StateIdle, 15000, 0.25)
+				tl.CountPowerOp(OpSetRPM)
 			}
 		}()
 	}

@@ -97,21 +97,23 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 	c := New()
 	c.EnsureDisks(2, 3000, 1200, 11)
 	c.CountSimRun()
+	tl := c.Begin(2)
 	for i := 0; i < 5; i++ {
-		c.ObserveRequest(0, 4.2, 0, 100)
+		tl.ObserveRequest(0, 4.2, 0, 100)
 	}
-	c.ObserveRequest(1, 7.5, 12000, 60001)
-	c.ObserveResidency(0, StateIdle, 15000, 250.5)
-	c.ObserveResidency(0, StateService, 15000, 10)
-	c.ObserveResidency(1, StateStandby, 0, 5000)
-	c.ObserveResidency(1, StateIdle, 3001, 3) // off-grid -> rpm="other"
-	c.CountPowerOp(OpSpinDown)
-	c.CountPowerOp(OpSpinUp)
-	c.CountPowerOp(OpSetRPM)
-	c.CountPowerOp(OpSetRPM)
-	c.CountSpinupMiss(true)
-	c.CountSpinupMiss(false)
-	c.CountSpinupMiss(false)
+	tl.ObserveRequest(1, 7.5, 12000, 60001)
+	tl.ObserveResidency(0, StateIdle, 15000, 250.5)
+	tl.ObserveResidency(0, StateService, 15000, 10)
+	tl.ObserveResidency(1, StateStandby, 0, 5000)
+	tl.ObserveResidency(1, StateIdle, 3001, 3) // off-grid -> rpm="other"
+	tl.CountPowerOp(OpSpinDown)
+	tl.CountPowerOp(OpSpinUp)
+	tl.CountPowerOp(OpSetRPM)
+	tl.CountPowerOp(OpSetRPM)
+	tl.CountSpinupMiss(true)
+	tl.CountSpinupMiss(false)
+	tl.CountSpinupMiss(false)
+	tl.Commit()
 	c.CountCacheMiss()
 	c.CountCacheHit()
 	c.CountCacheHit()

@@ -9,9 +9,9 @@ package obs
 // directly servable as the live /status endpoint's body.
 
 // HistogramSnapshot is a point-in-time copy of one Histogram. Count
-// is derived from the bucket counts (not the independent count
-// atomic), so Count == sum(Buckets) holds by construction even when
-// the snapshot races concurrent observers.
+// is derived from the loaded bucket counts, so Count == sum(Buckets)
+// holds by construction even when the snapshot races concurrent
+// observers.
 type HistogramSnapshot struct {
 	// Buckets holds per-bucket (non-cumulative) observation counts;
 	// the last entry is the +Inf bucket.
@@ -20,9 +20,9 @@ type HistogramSnapshot struct {
 	Count   int64                          `json:"count"`
 }
 
-// snapshot copies h. The per-bucket loads race concurrent Observe
-// calls benignly: each bucket is internally consistent, and Count is
-// summed from exactly the loaded values.
+// snapshot copies h. The per-bucket loads race concurrent
+// observations benignly: each bucket is internally consistent, and
+// Count is summed from exactly the loaded values.
 func (h *Histogram) snapshot() HistogramSnapshot {
 	var s HistogramSnapshot
 	for i := range h.counts {

@@ -11,9 +11,10 @@ import (
 )
 
 // TestSnapshotConsistentUnderWriters is the torn-total regression
-// test: while writers hammer the collector, every snapshot must
-// satisfy Count == sum(Buckets) for each histogram — the invariant a
-// direct _count atomic read cannot guarantee mid-scrape.
+// test: while runs publish tallies into the collector, every snapshot
+// must satisfy Count == sum(Buckets) for each histogram — the
+// invariant a count loaded apart from the buckets cannot guarantee
+// mid-scrape.
 func TestSnapshotConsistentUnderWriters(t *testing.T) {
 	c := New()
 	c.EnsureDisks(2, 4200, 600, 8)
@@ -23,11 +24,17 @@ func TestSnapshotConsistentUnderWriters(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			for i := 0; !stop.Load(); i++ {
-				c.ObserveRequest(i%2, float64(i%7), float64(i%3), float64(i%1000))
-				c.ObserveResidency(i%2, StateIdle, 4200+600*(i%8), 1.5)
-				c.CountPowerOp(PowerOpKind(i % int(numPowerOpKinds)))
-				c.CountFault(FaultKind(i % int(numFaultKinds)))
+			// Short runs publish mid-run and at Commit, so snapshots
+			// race both.
+			for !stop.Load() {
+				tl := c.Begin(2)
+				for i := 0; i < ChunkRequests+g*97; i++ {
+					tl.ObserveRequest(i%2, float64(i%7), float64(i%3), float64(i%1000))
+					tl.ObserveResidency(i%2, StateIdle, 4200+600*(i%8), 1.5)
+					tl.CountPowerOp(PowerOpKind(i % int(numPowerOpKinds)))
+					tl.CountFault(FaultKind(i % int(numFaultKinds)))
+				}
+				tl.Commit()
 			}
 		}(g)
 	}
@@ -85,14 +92,16 @@ func TestSnapshotValues(t *testing.T) {
 	c := New()
 	c.EnsureDisks(1, 6000, 1200, 4)
 	c.CountSimRun()
-	c.ObserveRequest(0, 3, 0, 120)
-	c.ObserveRequest(0, 4, 50, 9000)
-	c.ObserveResidency(0, StateService, 6000, 7)
-	c.ObserveResidency(0, StateStandby, 0, 300)
-	c.ObserveResidency(0, StateIdle, 4242, 1) // off-grid -> other
-	c.CountPowerOp(OpSpinDown)
-	c.CountSpinupMiss(true)
-	c.CountFault(FaultRemap)
+	tl := c.Begin(1)
+	tl.ObserveRequest(0, 3, 0, 120)
+	tl.ObserveRequest(0, 4, 50, 9000)
+	tl.ObserveResidency(0, StateService, 6000, 7)
+	tl.ObserveResidency(0, StateStandby, 0, 300)
+	tl.ObserveResidency(0, StateIdle, 4242, 1) // off-grid -> other
+	tl.CountPowerOp(OpSpinDown)
+	tl.CountSpinupMiss(true)
+	tl.CountFault(FaultRemap)
+	tl.Commit()
 	c.CountCacheHit()
 	c.RunnerTask(2e9)
 	c.RunnerQueue(3)
@@ -168,8 +177,10 @@ func TestSnapshotNil(t *testing.T) {
 func TestPrometheusSnapshotRender(t *testing.T) {
 	c := New()
 	c.EnsureDisks(1, 6000, 1200, 2)
-	c.ObserveRequest(0, 3, 0, 120)
-	c.ObserveResidency(0, StateIdle, 6000, 10)
+	tl := c.Begin(1)
+	tl.ObserveRequest(0, 3, 0, 120)
+	tl.ObserveResidency(0, StateIdle, 6000, 10)
+	tl.Commit()
 	var buf bytes.Buffer
 	if err := WritePrometheus(&buf, c); err != nil {
 		t.Fatal(err)

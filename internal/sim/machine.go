@@ -177,9 +177,9 @@ type Machine struct {
 	headPos   []int64
 	// timeline recording (disabled by default).
 	recTimeline bool
-	// obs receives metric events when non-nil; the nil case costs one
-	// branch per emit point (see AttachCollector).
-	obs *obs.Collector
+	// obs is the run's tally on the metrics collector (see
+	// AttachCollector); nil costs one branch per emit point.
+	obs *obs.Tally
 	// faults is the injected-fault schedule; nil (the default) keeps
 	// every fault path disabled and the machine's arithmetic
 	// bit-identical to a fault-free build.
@@ -315,11 +315,12 @@ func (m *Machine) AccountedTo(d int) float64 { return m.disks[d].accT }
 // returned by Timelines after Finish.
 func (m *Machine) EnableTimeline() { m.recTimeline = true }
 
-// AttachCollector streams metric events (residency, request
-// latencies, power ops, spin-up mispredictions) into c as the
-// machine runs. A nil c detaches. The caller should size c with
-// EnsureDisks first so the per-event paths never allocate.
-func (m *Machine) AttachCollector(c *obs.Collector) { m.obs = c }
+// AttachCollector opens a tally on c (see obs.Collector.Begin) and
+// feeds it the machine's metric events (residency, request latencies,
+// power ops, spin-up mispredictions). A nil c detaches. The caller
+// sizes c with EnsureDisks first, and commits m.obs when the run ends
+// so the tally's last chunk reaches c.
+func (m *Machine) AttachCollector(c *obs.Collector) { m.obs = c.Begin(len(m.disks)) }
 
 // AttachFaults threads a fault plan through the machine: spin-up
 // attempts may fail and retry per the plan, remapped blocks pay their

@@ -21,6 +21,7 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.obs.Commit()
 	defer m.ev.Commit()
 	m.ReserveIdles(tr.PerDiskRequests())
 	// Requests are replayed in arrival order. Validate already

@@ -68,9 +68,11 @@ type Config struct {
 	// is off (the result's Timelines field stays empty in that case).
 	Audit bool
 	// Obs, when non-nil, receives metric events (request latencies,
-	// residency, power ops, spin-up mispredictions) as the run
-	// executes. A nil Obs adds no overhead beyond one branch per
-	// emit point; an attached collector allocates nothing per event.
+	// residency, power ops, spin-up mispredictions). A nil Obs adds no
+	// overhead beyond one branch per emit point. The run stages its
+	// observations in an obs.Tally, so they reach the collector every
+	// obs.ChunkRequests requests and in full by the time Run returns;
+	// an attached collector allocates nothing per event.
 	Obs *obs.Collector
 	// Faults, when non-nil, injects the plan's deterministic fault
 	// schedule (spin-up failures with bounded retry, bad-sector
@@ -220,6 +222,7 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.obs.Commit()
 	defer m.ev.Commit()
 	if batching && comp == nil {
 		comp = trace.Compile(tr)
@@ -263,10 +266,12 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 // startRun builds and wires the machine for one run of tr under cfg,
 // shared by Run and RunOpenLoop. It validates the disk model, and the
 // trace unless it is already known to be valid; turns on the seek
-// model, timeline and collector cfg asks for; and attaches the fault
-// plan and the event log. suffix marks the replay mode in scheme
-// labels ("" for closed loop). The caller must commit m.ev on every
-// return path.
+// model and timeline cfg asks for; and attaches the fault plan, the
+// collector and the event log. suffix marks the replay mode in scheme
+// labels ("" for closed loop). Every check that can fail comes before
+// the collector and the log are attached, so a rejected run is neither
+// counted nor left holding a tally or batch. On success the caller
+// must commit m.obs and m.ev on every return path.
 func startRun(tr *trace.Trace, cfg *Config, validated bool, suffix string) (*Machine, error) {
 	if err := cfg.Disk.Validate(); err != nil {
 		return nil, err
@@ -286,16 +291,16 @@ func startRun(tr *trace.Trace, cfg *Config, validated bool, suffix string) (*Mac
 		// to keep it.
 		m.EnableTimeline()
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.CountSimRun()
-		cfg.Obs.EnsureDisks(tr.NumDisks, cfg.Disk.MinRPM, cfg.Disk.RPMStep, cfg.Disk.NumLevels())
-		m.AttachCollector(cfg.Obs)
-	}
 	if cfg.Faults != nil {
 		if cfg.Faults.NumDisks() < tr.NumDisks {
 			return nil, fmt.Errorf("sim: fault plan covers %d disks, trace uses %d", cfg.Faults.NumDisks(), tr.NumDisks)
 		}
 		m.AttachFaults(cfg.Faults)
+	}
+	if cfg.Obs != nil {
+		cfg.Obs.CountSimRun()
+		cfg.Obs.EnsureDisks(tr.NumDisks, cfg.Disk.MinRPM, cfg.Disk.RPMStep, cfg.Disk.NumLevels())
+		m.AttachCollector(cfg.Obs)
 	}
 	if cfg.Events != nil {
 		label := cfg.SchemeLabel
