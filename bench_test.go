@@ -186,3 +186,22 @@ func BenchmarkSuiteSequential(b *testing.B) { benchSuite(b, 1) }
 // BenchmarkSuiteParallel runs the Figure 3 grid on GOMAXPROCS
 // workers.
 func BenchmarkSuiteParallel(b *testing.B) { benchSuite(b, 0) }
+
+// BenchmarkRegenSequential regenerates every experiment on one worker
+// with a fresh instance memo per iteration: the in-repo handle on the
+// repository benchmark's regen workload (BenchmarkSuiteSequential
+// covers Figure 3 only). Allocation is reported because the compiler
+// passes that dominate it are allocation-bound.
+func BenchmarkRegenSequential(b *testing.B) {
+	b.ReportAllocs()
+	// Untimed warmup, as in benchExperiment.
+	if err := RunExperiments("all", io.Discard, Options{Workers: 1}); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := RunExperiments("all", io.Discard, Options{Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -28,11 +28,13 @@ type Touch struct {
 	// Iter is the linearized iteration (program execution order
 	// within the nest) at which the unit is first entered.
 	Iter int64
-	// File is the array (file) name; Unit the stripe unit index.
-	File string
+	// Unit is the stripe unit index within the file.
 	Unit int64
 	// Bytes is the size of the unit (truncated at end of file).
 	Bytes int64
+	// File is the array file's id on the subsystem (see
+	// layout.Subsystem.FileID).
+	File int32
 	// Kind is the reference kind causing the touch.
 	Kind ir.RefKind
 }
@@ -62,7 +64,8 @@ type refPlan struct {
 	strideB   int64 // byte stride per innermost iteration (linear layouts)
 	unitBytes int64
 	fileSize  int64
-	file      string
+	file      int32
+	name      string // the file's name, for error messages
 	// Blocked-layout handling: when the referenced array has a
 	// blocked (tiled) layout, runs are only piecewise linear.
 	blocked bool
@@ -105,10 +108,11 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 				return fmt.Errorf("access: array %q not placed on subsystem", r.Array.Name)
 			}
 			size, _ := sub.SizeOf(r.Array.Name)
+			id, _ := sub.FileID(r.Array.Name)
 			pl := refPlan{
 				ref: r, stmtIdx: si, refIdx: ri, order: len(plans),
 				unitBytes: st.UnitBytes,
-				fileSize:  size, file: r.Array.Name,
+				fileSize:  size, file: id, name: r.Array.Name,
 				drivenDim: -1,
 			}
 			driven := 0
@@ -207,7 +211,7 @@ func walkNest(ni int, nest *ir.Nest, sub *layout.Subsystem, fn func(Touch) error
 func collectRunTouches(pl *refPlan, base, innerTrip int64, out *[]pendingTouch) error {
 	checkOff := func(off int64) error {
 		if off < 0 || off >= pl.fileSize {
-			return fmt.Errorf("offset %d outside file %q of size %d", off, pl.file, pl.fileSize)
+			return fmt.Errorf("offset %d outside file %q of size %d", off, pl.name, pl.fileSize)
 		}
 		return nil
 	}
@@ -282,7 +286,7 @@ func collectRunTouchesBlocked(pl *refPlan, ivRun, scratch, idx []int64, inner ir
 	}
 	checkOff := func(off int64) error {
 		if off < 0 || off >= pl.fileSize {
-			return fmt.Errorf("offset %d outside file %q of size %d", off, pl.file, pl.fileSize)
+			return fmt.Errorf("offset %d outside file %q of size %d", off, pl.name, pl.fileSize)
 		}
 		return nil
 	}

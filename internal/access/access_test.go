@@ -32,6 +32,7 @@ func bruteTouches(t *testing.T, p *ir.Program, sub *layout.Subsystem) []Touch {
 					off := r.OffsetAt(iv)
 					st, _ := sub.StripingOf(r.Array.Name)
 					size, _ := sub.SizeOf(r.Array.Name)
+					id, _ := sub.FileID(r.Array.Name)
 					unit := off / st.UnitBytes
 					k := key{si, ri}
 					if prev, seen := last[k]; !seen || prev != unit {
@@ -40,7 +41,7 @@ func bruteTouches(t *testing.T, p *ir.Program, sub *layout.Subsystem) []Touch {
 						if unit*st.UnitBytes+b > size {
 							b = size - unit*st.UnitBytes
 						}
-						out = append(out, Touch{Nest: ni, Iter: it, File: r.Array.Name, Unit: unit, Bytes: b, Kind: r.Kind})
+						out = append(out, Touch{Nest: ni, Iter: it, File: id, Unit: unit, Bytes: b, Kind: r.Kind})
 					}
 				}
 			}
@@ -174,8 +175,9 @@ func TestWalkStrideZero(t *testing.T) {
 	}
 	// w is 64 bytes: one unit; touched at the start of each of 8 runs.
 	var wTouches int
+	wID, _ := sub.FileID("w")
 	for _, tc := range got {
-		if tc.File == "w" {
+		if tc.File == wID {
 			wTouches++
 			if tc.Bytes != 64 {
 				t.Errorf("w touch bytes = %d, want 64 (truncated)", tc.Bytes)

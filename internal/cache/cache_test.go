@@ -1,22 +1,29 @@
 package cache
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
-func k(f string, u int64) Key { return Key{File: f, Unit: u} }
+// k packs (file, unit) into a key for the tests: any injective
+// packing will do, since the cache only compares keys.
+func k(f int32, u int64) Key { return Key(uint64(f)<<40 | uint64(u)) }
+
+// Test file ids.
+const (
+	a int32 = iota
+	b
+)
 
 func TestBasicHitMiss(t *testing.T) {
 	c := New(2)
-	if c.Touch(k("a", 0)) {
+	if c.Touch(k(a, 0)) {
 		t.Error("first touch hit")
 	}
-	if !c.Touch(k("a", 0)) {
+	if !c.Touch(k(a, 0)) {
 		t.Error("second touch missed")
 	}
-	if c.Touch(k("a", 1)) {
+	if c.Touch(k(a, 1)) {
 		t.Error("new unit hit")
 	}
 	if c.Len() != 2 {
@@ -30,17 +37,17 @@ func TestBasicHitMiss(t *testing.T) {
 
 func TestEvictionOrder(t *testing.T) {
 	c := New(2)
-	c.Touch(k("a", 0))
-	c.Touch(k("a", 1))
-	c.Touch(k("a", 0)) // 0 now MRU, 1 LRU
-	c.Touch(k("a", 2)) // evicts 1
-	if !c.Contains(k("a", 0)) {
+	c.Touch(k(a, 0))
+	c.Touch(k(a, 1))
+	c.Touch(k(a, 0)) // 0 now MRU, 1 LRU
+	c.Touch(k(a, 2)) // evicts 1
+	if !c.Contains(k(a, 0)) {
 		t.Error("unit 0 evicted")
 	}
-	if c.Contains(k("a", 1)) {
+	if c.Contains(k(a, 1)) {
 		t.Error("unit 1 survived")
 	}
-	if !c.Contains(k("a", 2)) {
+	if !c.Contains(k(a, 2)) {
 		t.Error("unit 2 missing")
 	}
 }
@@ -48,7 +55,7 @@ func TestEvictionOrder(t *testing.T) {
 func TestZeroCapacity(t *testing.T) {
 	c := New(0)
 	for i := 0; i < 5; i++ {
-		if c.Touch(k("a", 0)) {
+		if c.Touch(k(a, 0)) {
 			t.Fatal("zero-capacity cache hit")
 		}
 	}
@@ -63,8 +70,8 @@ func TestZeroCapacity(t *testing.T) {
 
 func TestDistinctFilesDistinctKeys(t *testing.T) {
 	c := New(4)
-	c.Touch(k("a", 0))
-	if c.Touch(k("b", 0)) {
+	c.Touch(k(a, 0))
+	if c.Touch(k(b, 0)) {
 		t.Error("unit 0 of file b hit on file a's entry")
 	}
 }
@@ -76,7 +83,7 @@ func TestSequentialSweepMissesEveryUnitWhenLarger(t *testing.T) {
 	const units = 100
 	for sweep := 0; sweep < 3; sweep++ {
 		for u := int64(0); u < units; u++ {
-			if c.Touch(k("a", u)) {
+			if c.Touch(k(a, u)) {
 				t.Fatalf("sweep %d unit %d unexpectedly hit", sweep, u)
 			}
 		}
@@ -92,7 +99,7 @@ func TestRepeatedTouchesWithinUnitHit(t *testing.T) {
 	c := New(8)
 	miss := 0
 	for i := 0; i < 1000; i++ {
-		if !c.Touch(k("a", int64(i/250))) {
+		if !c.Touch(k(a, int64(i/250))) {
 			miss++
 		}
 	}
@@ -103,7 +110,7 @@ func TestRepeatedTouchesWithinUnitHit(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	c := New(2)
-	c.Touch(k("a", 0))
+	c.Touch(k(a, 0))
 	c.Reset()
 	if c.Len() != 0 {
 		t.Error("len after reset")
@@ -112,7 +119,7 @@ func TestReset(t *testing.T) {
 	if h != 0 || m != 0 {
 		t.Error("stats after reset")
 	}
-	if c.Contains(k("a", 0)) {
+	if c.Contains(k(a, 0)) {
 		t.Error("contains after reset")
 	}
 }
@@ -124,7 +131,7 @@ func TestLRUInvariants(t *testing.T) {
 	c := New(16)
 	touches := int64(0)
 	for i := 0; i < 5000; i++ {
-		key := k(fmt.Sprintf("f%d", rng.Intn(3)), int64(rng.Intn(40)))
+		key := k(int32(rng.Intn(3)), int64(rng.Intn(40)))
 		c.Touch(key)
 		touches++
 		if c.Len() > c.Cap() {

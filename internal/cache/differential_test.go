@@ -2,13 +2,12 @@ package cache
 
 import (
 	"container/list"
-	"fmt"
 	"math/rand"
 	"testing"
 )
 
-// listLRU is the container/list LRU the slice-backed list replaced,
-// kept as the reference for the differential test.
+// listLRU is a container/list LRU over a Go map, the reference for
+// the differential tests.
 type listLRU struct {
 	capacity     int
 	ll           *list.List
@@ -45,39 +44,93 @@ func (c *listLRU) Reset() {
 	c.hits, c.misses = 0, 0
 }
 
-// TestLRUMatchesListReference drives the LRU and the container/list
-// reference with the same random touches (and occasional resets) and
-// compares every observable after every step.
+// checkAgainstReference drives the LRU and the container/list
+// reference with the same touches (and occasional resets) from next
+// and compares every observable after every step.
+func checkAgainstReference(t *testing.T, name string, capUnits, steps int, rng *rand.Rand, next func() Key) {
+	t.Helper()
+	got, want := New(capUnits), newListLRU(capUnits)
+	for step := 0; step < steps; step++ {
+		if rng.Intn(2000) == 0 {
+			got.Reset()
+			want.Reset()
+		}
+		tk := next()
+		if g, w := got.Touch(tk), want.Touch(tk); g != w {
+			t.Fatalf("%s cap %d step %d: Touch(%#x) = %t, reference %t", name, capUnits, step, tk, g, w)
+		}
+		probe := next()
+		_, inRef := want.m[probe]
+		if g := got.Contains(probe); g != inRef {
+			t.Fatalf("%s cap %d step %d: Contains(%#x) = %t, reference %t", name, capUnits, step, probe, g, inRef)
+		}
+		if got.Len() != want.ll.Len() {
+			t.Fatalf("%s cap %d step %d: Len = %d, reference %d", name, capUnits, step, got.Len(), want.ll.Len())
+		}
+		if h, m := got.Stats(); h != want.hits || m != want.misses {
+			t.Fatalf("%s cap %d step %d: Stats = %d/%d, reference %d/%d", name, capUnits, step, h, m, want.hits, want.misses)
+		}
+		if got.Cap() != capUnits {
+			t.Fatalf("%s cap %d: Cap = %d", name, capUnits, got.Cap())
+		}
+	}
+}
+
+// TestLRUMatchesListReference compares the LRU with the reference
+// over random (file, unit) streams. A key space a little larger than
+// the capacity keeps both hits and evictions frequent.
 func TestLRUMatchesListReference(t *testing.T) {
 	for _, capUnits := range []int{0, 1, 2, 64} {
 		rng := rand.New(rand.NewSource(int64(100 + capUnits)))
-		got, want := New(capUnits), newListLRU(capUnits)
-		// A key space a little larger than the capacity keeps both
-		// hits and evictions frequent.
 		files, units := 3, 2+capUnits/2
-		key := func() Key { return k(fmt.Sprintf("f%d", rng.Intn(files)), int64(rng.Intn(units))) }
-		for step := 0; step < 20000; step++ {
-			if rng.Intn(2000) == 0 {
-				got.Reset()
-				want.Reset()
+		checkAgainstReference(t, "random", capUnits, 20000, rng, func() Key {
+			return k(int32(rng.Intn(files)), int64(rng.Intn(units)))
+		})
+	}
+}
+
+// collidingKeys returns n distinct (file, unit) keys whose first probe
+// lands on the same position of a capUnits-capacity cache's index.
+func collidingKeys(capUnits, n int) []Key {
+	c := New(capUnits)
+	var out []Key
+	target := c.home(k(0, 0))
+	for f := int32(0); len(out) < n; f++ {
+		for u := int64(0); u < 4096 && len(out) < n; u++ {
+			if key := k(f, u); c.home(key) == target {
+				out = append(out, key)
 			}
-			tk := key()
-			if g, w := got.Touch(tk), want.Touch(tk); g != w {
-				t.Fatalf("cap %d step %d: Touch(%v) = %t, reference %t", capUnits, step, tk, g, w)
+		}
+	}
+	return out
+}
+
+// TestLRUProbeCollisions forces long probe runs: keys that share one
+// home position, mixed with keys homed just after it, so evictions
+// delete from the middle of runs and must shift later keys back.
+func TestLRUProbeCollisions(t *testing.T) {
+	for _, capUnits := range []int{1, 2, 64} {
+		keys := collidingKeys(capUnits, 2*capUnits+3)
+		c := New(capUnits)
+		h := c.home(keys[0])
+		for f := int32(0); len(keys) < 4*capUnits+6; f++ {
+			for u := int64(0); u < 4096; u++ {
+				if key := k(f, u); c.home(key) == (h+1)&(len(c.index)-1) {
+					keys = append(keys, key)
+					break
+				}
 			}
-			probe := key()
-			_, inRef := want.m[probe]
-			if g := got.Contains(probe); g != inRef {
-				t.Fatalf("cap %d step %d: Contains(%v) = %t, reference %t", capUnits, step, probe, g, inRef)
-			}
-			if got.Len() != want.ll.Len() {
-				t.Fatalf("cap %d step %d: Len = %d, reference %d", capUnits, step, got.Len(), want.ll.Len())
-			}
-			if h, m := got.Stats(); h != want.hits || m != want.misses {
-				t.Fatalf("cap %d step %d: Stats = %d/%d, reference %d/%d", capUnits, step, h, m, want.hits, want.misses)
-			}
-			if got.Cap() != capUnits {
-				t.Fatalf("cap %d: Cap = %d", capUnits, got.Cap())
+		}
+		rng := rand.New(rand.NewSource(int64(7 + capUnits)))
+		checkAgainstReference(t, "collide", capUnits, 20000, rng, func() Key { return keys[rng.Intn(len(keys))] })
+		// A cyclic sweep over more colliding keys than the capacity
+		// evicts on every touch.
+		c = New(capUnits)
+		for sweep := 0; sweep < 3; sweep++ {
+			for _, key := range keys[:capUnits+1] {
+				if c.Touch(key) {
+					t.Fatalf("cap %d sweep %d: colliding key %#x hit after eviction", capUnits, sweep, key)
+				}
 			}
 		}
 	}
@@ -90,7 +143,7 @@ func TestLRUWarmPathsDoNotAllocate(t *testing.T) {
 	c := New(capUnits)
 	keys := make([]Key, 4*capUnits)
 	for i := range keys {
-		keys[i] = k(fmt.Sprintf("f%d", i%3), int64(i))
+		keys[i] = k(int32(i%3), int64(i))
 	}
 	for _, key := range keys[:capUnits] {
 		c.Touch(key)

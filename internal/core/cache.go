@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -13,23 +11,27 @@ import (
 	"sdpm/internal/obs/events"
 )
 
-// Cache memoizes prepared instances so the expensive front half of
-// the pipeline — compilation, access-pattern extraction, placement,
-// base-trace generation — runs once per (workload, configuration)
-// even when many schemes, experiments, or worker goroutines ask for
-// it. All methods are safe for concurrent use, and concurrent
-// requests for the same key run a single Prepare (the others block on
-// it), so a parallel experiment grid never duplicates work.
+// Cache memoizes preparation so the expensive front half of the
+// pipeline — transformation, placement, access-pattern extraction,
+// trace generation, instrumentation — runs once per distinct input
+// even when many schemes, experiments, configurations or worker
+// goroutines ask for it. All methods are safe for concurrent use, and
+// concurrent requests for the same key run a single preparation (the
+// others block on it), so a parallel experiment grid never duplicates
+// work.
 //
-// The memoization key is: the workload name, the identity of the IR
-// program (pointer — programs are treated as immutable once built),
-// the Config fingerprint (see Config.Fingerprint), and the layout
-// overrides rendered in sorted order. Version preparation adds the
-// version tag and memoizes the whole ApplyVersion+Prepare pair, which
-// is deterministic in its inputs.
+// Memoization has two levels. Instances are memoized on the workload
+// name, the identity of the IR program (pointer — programs are
+// treated as immutable once built), the Config fingerprint (see
+// Config.Fingerprint) and the layout overrides rendered in sorted
+// order; version preparation adds the version tag. Behind them, each
+// compiler stage (stages.go) — and each code/layout transformation —
+// is memoized on only the inputs it reads, so instances that differ
+// in name or in simulator-only settings (fault injection, call
+// overhead, seek model) share one set of sites, traces and plans.
 type Cache struct {
 	// Obs, when non-nil, receives hit/miss/singleflight-wait counts
-	// from every lookup and is propagated onto each prepared
+	// from every instance lookup and is propagated onto each prepared
 	// Instance (so simulation runs on cached instances are observed
 	// too). Set it before first use.
 	Obs *obs.Collector
@@ -38,8 +40,11 @@ type Cache struct {
 	// instances land in one shared log). Set it before first use.
 	Events *events.Log
 
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	mu       sync.Mutex
+	entries  map[string]*cacheEntry
+	sites    map[sitesKey]*siteEntry
+	traces   map[traceKey]*traceStage
+	versions map[versionKey]*versionEntry
 }
 
 type cacheEntry struct {
@@ -56,17 +61,45 @@ type cacheEntry struct {
 	err     error
 }
 
-// NewCache returns an empty instance cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[string]*cacheEntry)}
+// siteEntry memoizes one sites stage (the key pins the program).
+type siteEntry struct {
+	once  sync.Once
+	stage *siteStage
+	err   error
 }
 
-// entry returns (creating if needed) the entry for a key.
+// versionKey identifies a code/layout transformation's inputs: the
+// original program's sites key (ApplyVersion reads NumDisks and
+// UnitBytes, and TL+DL the original's per-nest request counts) and
+// the version.
+type versionKey struct {
+	orig sitesKey
+	v    Version
+}
+
+// versionEntry memoizes one ApplyVersion result.
+type versionEntry struct {
+	once      sync.Once
+	prog      *ir.Program
+	overrides map[string]layout.Striping
+	applied   bool
+	err       error
+}
+
+// NewCache returns an empty instance cache.
+func NewCache() *Cache {
+	return &Cache{}
+}
+
+// entry returns (creating if needed) the instance entry for a key.
 func (c *Cache) entry(key string, prog *ir.Program) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.entries == nil {
 		c.entries = make(map[string]*cacheEntry)
+		c.sites = make(map[sitesKey]*siteEntry)
+		c.traces = make(map[traceKey]*traceStage)
+		c.versions = make(map[versionKey]*versionEntry)
 	}
 	e, ok := c.entries[key]
 	if !ok {
@@ -76,28 +109,25 @@ func (c *Cache) entry(key string, prog *ir.Program) *cacheEntry {
 	return e
 }
 
-// Len reports the number of memoized preparations.
+// Len reports the number of memoized instance preparations.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
 
-// overridesKey renders layout overrides canonically (sorted by array).
-func overridesKey(overrides map[string]layout.Striping) string {
-	if len(overrides) == 0 {
-		return ""
+// siteStage returns the memoized sites stage for sk, building it on
+// the first request (concurrent requests wait for that build).
+func (c *Cache) siteStage(sk sitesKey, p *ir.Program, cfg *Config, overrides map[string]layout.Striping) (*siteStage, error) {
+	c.mu.Lock()
+	e, ok := c.sites[sk]
+	if !ok {
+		e = &siteEntry{}
+		c.sites[sk] = e
 	}
-	names := make([]string, 0, len(overrides))
-	for n := range overrides {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, n := range names {
-		fmt.Fprintf(&b, "%s=%+v;", n, overrides[n])
-	}
-	return b.String()
+	c.mu.Unlock()
+	e.once.Do(func() { e.stage, e.err = buildSites(p, cfg, overrides) })
+	return e.stage, e.err
 }
 
 // Prepare is a memoizing core.Prepare: the first call for a key does
@@ -111,7 +141,7 @@ func (c *Cache) Prepare(name string, p *ir.Program, cfg Config, overrides map[st
 	ran := false
 	e.once.Do(func() {
 		ran = true
-		e.in, e.err = Prepare(name, p, cfg, overrides)
+		e.in, e.err = prepare(c, name, p, cfg, overrides)
 		if e.in != nil {
 			e.in.Obs = c.Obs
 			e.in.Events = c.Events
@@ -151,29 +181,47 @@ func (c *Cache) PrepareVersion(name string, p *ir.Program, v Version, cfg Config
 	e.once.Do(func() {
 		ran = true
 		defer e.done.Store(true)
-		var nestCost []float64
-		if v == VTLDL {
-			// The layout-aware tiler needs the original program's
-			// per-nest request counts; share that preparation too.
-			orig, err := c.Prepare(name, p, cfg, nil)
-			if err != nil {
-				e.err = err
-				return
-			}
-			nestCost = orig.NestRequests()
-		}
-		tp, overrides, applied, err := ApplyVersion(p, v, cfg, nestCost)
-		if err != nil {
-			e.err = err
+		ve := c.version(p, v, &cfg)
+		if ve.err != nil {
+			e.err = ve.err
 			return
 		}
-		e.in, e.err = Prepare(name+"/"+string(v), tp, cfg, overrides)
+		e.in, e.err = prepare(c, name+"/"+string(v), ve.prog, cfg, ve.overrides)
 		if e.in != nil {
 			e.in.Obs = c.Obs
 			e.in.Events = c.Events
 		}
-		e.applied = applied
+		e.applied = ve.applied
 	})
 	c.countLookup(ran, wasDone)
 	return e.in, e.applied, e.err
+}
+
+// version returns the memoized ApplyVersion result for p under v and
+// cfg. The layout-aware tiler's per-nest request counts come from the
+// original program's sites stage, shared with its preparation. Every
+// input of the result, an error included, is in the key, so a memoized
+// failure is the failure any request with that key would see.
+func (c *Cache) version(p *ir.Program, v Version, cfg *Config) *versionEntry {
+	sk := keySites(p, cfg, nil)
+	c.mu.Lock()
+	ve, ok := c.versions[versionKey{orig: sk, v: v}]
+	if !ok {
+		ve = &versionEntry{}
+		c.versions[versionKey{orig: sk, v: v}] = ve
+	}
+	c.mu.Unlock()
+	ve.once.Do(func() {
+		var nestCost []float64
+		if v == VTLDL {
+			orig, err := c.siteStage(sk, p, cfg, nil)
+			if err != nil {
+				ve.err = err
+				return
+			}
+			nestCost = nestRequests(p, orig.sites)
+		}
+		ve.prog, ve.overrides, ve.applied, ve.err = ApplyVersion(p, v, *cfg, nestCost)
+	})
+	return ve
 }

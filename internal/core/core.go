@@ -170,11 +170,19 @@ func (c *Config) faultPlan() (*faults.Plan, error) {
 // Instance is a program prepared on a disk subsystem: placed,
 // analyzed, and ready to run under any scheme.
 //
-// An Instance is safe for concurrent use: the derived artifacts
-// (base trace, instrumented traces) are built once under a lock, and
-// Run is re-entrant — all per-run mutable state (the disk state
-// machine, the policy) is freshly allocated inside sim.Run, so any
-// number of schemes can be simulated on one Instance at once.
+// An Instance is a named view over the compiler stages (see stages.go):
+// its name, configuration, fault plan and collectors are its own,
+// while the sites, traces, plans and compiled forms may be shared with
+// every other instance whose stage inputs match (Cache shares them;
+// Prepare builds fresh ones). Every trace an Instance hands out
+// carries its own name, so results, event logs and audit reports
+// never show another instance's.
+//
+// An Instance is safe for concurrent use: the derived artifacts are
+// built once under a lock, and Run is re-entrant — all per-run mutable
+// state (the disk state machine, the policy) is freshly allocated
+// inside sim.Run, so any number of schemes can be simulated on one
+// Instance at once.
 type Instance struct {
 	Name    string
 	Program *ir.Program
@@ -197,59 +205,51 @@ type Instance struct {
 	// faultPlan is the derived fault schedule (nil when injection is
 	// disabled); it is immutable and shared by every run.
 	faultPlan *faults.Plan
+	// stages holds the compiler artifacts this instance views.
+	stages *traceStage
 
-	mu        sync.Mutex // guards the lazy caches below
+	mu        sync.Mutex // guards the trace headers below
 	baseTrace *trace.Trace
 	instr     map[insert.Mode]*instrumented
-	compiled  map[*trace.Trace]*trace.Compiled
-}
-
-type instrumented struct {
-	tr   *trace.Trace
-	plan *insert.Plan
 }
 
 // Prepare places the program's arrays (staggered default striping,
 // with per-array overrides from a layout-aware transformation),
-// extracts the request sites, and returns a runnable instance.
+// extracts the request sites, and returns a runnable instance over
+// freshly built compiler stages.
 func Prepare(name string, p *ir.Program, cfg Config, overrides map[string]layout.Striping) (*Instance, error) {
+	return prepare(nil, name, p, cfg, overrides)
+}
+
+// prepare builds the named view over the stages stagesFor(c, ...)
+// returns.
+func prepare(c *Cache, name string, p *ir.Program, cfg Config, overrides map[string]layout.Striping) (*Instance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	sub, err := layout.NewSubsystem(cfg.NumDisks)
-	if err != nil {
-		return nil, err
-	}
 	plan, err := cfg.faultPlan()
 	if err != nil {
 		return nil, err
 	}
-	for i, a := range p.Arrays {
-		st := layout.Striping{StartDisk: i % cfg.NumDisks, Factor: cfg.NumDisks, UnitBytes: cfg.UnitBytes}
-		if o, ok := overrides[a.Name]; ok {
-			st = o
-		}
-		if err := sub.Place(a.Name, a.SizeBytes(), st); err != nil {
-			return nil, err
-		}
-	}
-	var sites []tracegen.Site
-	if cfg.NoCache {
-		sites, err = tracegen.SitesNoCache(p, sub)
-	} else {
-		sites, err = tracegen.Sites(p, sub, cfg.CacheUnits)
-	}
+	st, err := stagesFor(c, p, &cfg, overrides)
 	if err != nil {
 		return nil, err
 	}
 	return &Instance{
-		Name: name, Program: p, Sub: sub, Sites: sites, Cfg: cfg,
+		Name: name, Program: p, Sub: st.sub, Sites: st.sites, Cfg: cfg,
 		faultPlan: plan,
+		stages:    st,
 		instr:     make(map[insert.Mode]*instrumented),
 	}, nil
+}
+
+// view returns this instance's header over a stage trace: its own
+// name over the shared event slice and file table.
+func (in *Instance) view(t *trace.Trace) *trace.Trace {
+	return &trace.Trace{Program: in.Name, NumDisks: t.NumDisks, Files: t.Files, Events: t.Events}
 }
 
 // BaseTrace returns (and caches) the uninstrumented runtime trace.
@@ -259,11 +259,7 @@ func (in *Instance) BaseTrace() *trace.Trace {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if in.baseTrace == nil {
-		p := in.Cfg.Disk
-		in.baseTrace = tracegen.FromSites(in.Name, in.Cfg.NumDisks, in.Sites, tracegen.Options{
-			Model:            in.Cfg.model(),
-			NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
-		})
+		in.baseTrace = in.view(in.stages.baseTrace())
 	}
 	return in.baseTrace
 }
@@ -277,32 +273,21 @@ func (in *Instance) Instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan, 
 	if got, ok := in.instr[mode]; ok {
 		return got.tr, got.plan, nil
 	}
-	tr, plan, err := insert.Instrument(in.Name, in.Cfg.NumDisks, in.Sites, insert.Options{
-		Mode: mode, Disk: in.Cfg.Disk, Model: in.Cfg.model(),
-		DisablePreactivation: in.Cfg.DisablePreactivation,
-	})
+	tr, plan, err := in.stages.instrumented(mode)
 	if err != nil {
 		return nil, nil, err
 	}
-	in.instr[mode] = &instrumented{tr: tr, plan: plan}
-	return tr, plan, nil
+	got := &instrumented{tr: in.view(tr), plan: plan}
+	in.instr[mode] = got
+	return got.tr, got.plan, nil
 }
 
 // Compiled returns (and caches) the run-length compiled form of a
 // trace owned by this instance (the base trace or an instrumented
-// one), so every scheme sharing a trace shares its compiled form.
+// one), so every scheme sharing a trace's events — on this instance or
+// on any other viewing the same stage — shares its compiled form.
 func (in *Instance) Compiled(tr *trace.Trace) *trace.Compiled {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.compiled == nil {
-		in.compiled = make(map[*trace.Trace]*trace.Compiled)
-	}
-	c, ok := in.compiled[tr]
-	if !ok {
-		c = trace.Compile(tr)
-		in.compiled[tr] = c
-	}
-	return c
+	return in.stages.compile(tr)
 }
 
 // Run simulates the instance under the given scheme.
@@ -460,11 +445,7 @@ func (in *Instance) SelectScheme() (Scheme, float64, error) {
 // NestRequests returns the per-nest request counts, the disk-energy
 // cost metric handed to the layout-aware tiler.
 func (in *Instance) NestRequests() []float64 {
-	out := make([]float64, len(in.Program.Nests))
-	for _, s := range in.Sites {
-		out[s.Nest]++
-	}
-	return out
+	return nestRequests(in.Program, in.Sites)
 }
 
 // DAP builds the disk access pattern of the instance on the

@@ -16,6 +16,7 @@ import (
 // workload's cache capacity and cycle model).
 type table1Input struct {
 	name  string
+	files []string
 	sites []tracegen.Site
 	model *cycles.Model
 }
@@ -32,7 +33,7 @@ func table1Inputs(tb testing.TB) []table1Input {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, table1Input{name: b.Name, sites: ss, model: b.Model()})
+		out = append(out, table1Input{name: b.Name, files: sub.Files(), sites: ss, model: b.Model()})
 	}
 	return out
 }
@@ -51,7 +52,7 @@ func BenchmarkInstrument(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				calls = 0
 				for _, in := range ins {
-					_, plan, err := Instrument(in.name, workloads.DefaultDisks, in.sites, Options{
+					_, plan, err := Instrument(in.name, in.files, workloads.DefaultDisks, in.sites, Options{
 						Mode: mode.mode, Disk: disk.DefaultParams(), Model: in.model,
 					})
 					if err != nil {

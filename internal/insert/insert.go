@@ -129,22 +129,6 @@ func (a Action) String() string {
 	}
 }
 
-// GapDecision records the compiler's decision for one idle period.
-type GapDecision struct {
-	Disk int
-	// Gap is the idle-period index on the disk: 0 is the leading
-	// period (program start to first access); the last index is the
-	// trailing period.
-	Gap int
-	// PredictedIdleMS is the compiler's idle-length estimate.
-	PredictedIdleMS float64
-	// Act and RPM describe the decision (RPM meaningful for Dip).
-	Act Action
-	RPM int
-	// Trailing marks the final idle period (no pre-activation).
-	Trailing bool
-}
-
 // Call locates one inserted power-management call in the program's
 // iteration space (the paper's Figure 2(d) view: explicit calls in
 // the code).
@@ -161,13 +145,12 @@ type Plan struct {
 	Mode Mode
 	// PredictedEndMS is the compiler's program-completion estimate.
 	PredictedEndMS float64
-	// Decisions holds every idle-period decision.
-	Decisions []GapDecision
-	// Levels[d][g] is the RPM level planned for gap g of disk d
-	// (MaxRPM when the disk stays up; 0 denotes standby). Used by
-	// the Table 3 misprediction analysis.
+	// Levels[d][g] is the RPM level planned for idle period g of disk
+	// d (MaxRPM when the disk stays up; 0 denotes standby). Period 0
+	// is the leading one (program start to first access), the last is
+	// the trailing one. Used by the Table 3 misprediction analysis.
 	Levels [][]int
-	// PredictedIdle[d][g] is the predicted idle length per gap.
+	// PredictedIdle[d][g] is the predicted idle length per period.
 	PredictedIdle [][]float64
 	// Ops is the number of power-management calls inserted.
 	Ops int
@@ -209,8 +192,10 @@ type opItem struct {
 func cmpOpItem(a, b opItem) int { return cmpKey(a.key, b.key) }
 
 // Instrument builds the CMTPM/CMDRPM instrumented trace for the
-// given request sites on a numDisks-disk subsystem.
-func Instrument(program string, numDisks int, sites []tracegen.Site, opts Options) (*trace.Trace, *Plan, error) {
+// given request sites on a numDisks-disk subsystem. files is the
+// subsystem's file name table the sites' file ids index; the trace
+// shares it.
+func Instrument(program string, files []string, numDisks int, sites []tracegen.Site, opts Options) (*trace.Trace, *Plan, error) {
 	if err := opts.Disk.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -236,7 +221,20 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		}
 	}
 
+	// perDisk[d] lists disk d's sites in program order. Each list is
+	// a window of one flat index, cut at the exact per-disk counts, so
+	// the appends below never reallocate.
+	count := make([]int, numDisks)
+	for i := range sites {
+		count[sites[i].Disk]++
+	}
+	flat := make([]int, len(sites))
 	perDisk := make([][]int, numDisks)
+	off := 0
+	for d, n := range count {
+		perDisk[d] = flat[off : off : off+n]
+		off += n
+	}
 	for i := range sites {
 		perDisk[sites[i].Disk] = append(perDisk[sites[i].Disk], i)
 	}
@@ -282,10 +280,10 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		Levels:         make([][]int, numDisks),
 		PredictedIdle:  make([][]float64, numDisks),
 	}
-	// Every disk has one idle period per request plus the trailing one.
-	if n := len(sites) + numDisks; n > 0 {
-		plan.Decisions = make([]GapDecision, 0, n)
-	}
+	// Every disk has one idle period per request plus the trailing
+	// one; each disk's periods are a window of one flat array.
+	levels := make([]int, len(sites)+numDisks)
+	idles := make([]float64, len(sites)+numDisks)
 
 	// gapBounds returns the predicted start and end of idle period g
 	// of disk d, and the site its power-down is anchored after (-1 for
@@ -304,13 +302,27 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		return start, end, afterSite
 	}
 
+	// action recovers the decision for a planned level.
+	action := func(level int) Action {
+		switch {
+		case level == p.MaxRPM:
+			return Stay
+		case opts.Mode == ModeTPM:
+			return Standby
+		default:
+			return Dip
+		}
+	}
+
 	// First decide every idle period's power mode, counting the calls
 	// the decisions need.
 	nOps := 0
+	off = 0
 	for d := 0; d < numDisks; d++ {
 		nGaps := len(perDisk[d]) + 1
-		plan.Levels[d] = make([]int, nGaps)
-		plan.PredictedIdle[d] = make([]float64, nGaps)
+		plan.Levels[d] = levels[off : off+nGaps : off+nGaps]
+		plan.PredictedIdle[d] = idles[off : off+nGaps : off+nGaps]
+		off += nGaps
 		for g := 0; g < nGaps; g++ {
 			start, end, _ := gapBounds(d, g)
 			trailing := g == nGaps-1
@@ -319,20 +331,13 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 				idle = 0
 			}
 			plan.PredictedIdle[d][g] = idle
-			dec := GapDecision{Disk: d, Gap: g, PredictedIdleMS: idle, Act: Stay, RPM: p.MaxRPM, Trailing: trailing}
-			plan.Levels[d][g] = p.MaxRPM
+			level := p.MaxRPM
 			switch opts.Mode {
 			case ModeDRPM:
-				var level int
 				if trailing {
 					level, _ = tbl.BestRPMForTrailingIdle(idle)
 				} else {
 					level, _ = tbl.BestRPMForIdle(idle)
-				}
-				if level != p.MaxRPM {
-					dec.Act = Dip
-					dec.RPM = level
-					plan.Levels[d][g] = level
 				}
 			case ModeTPM:
 				worthIt := false
@@ -342,25 +347,23 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 					worthIt = p.StandbyEnergyJ(idle) < p.IdleEnergyJ(idle)
 				}
 				if worthIt {
-					dec.Act = Standby
-					plan.Levels[d][g] = 0
+					level = 0
 				}
 			default:
 				return nil, nil, fmt.Errorf("insert: unknown mode %d", opts.Mode)
 			}
-			if dec.Act != Stay {
+			plan.Levels[d][g] = level
+			if action(level) != Stay {
 				nOps++
 				if !trailing && !opts.DisablePreactivation {
 					nOps++
 				}
 			}
-			plan.Decisions = append(plan.Decisions, dec)
 		}
 	}
 
-	// Then place the calls. Decisions are disk-major, so the ops are
-	// collected per disk: disk d's ops are the contiguous run
-	// ops[opStart[d]:opStart[d+1]], in gap order.
+	// Then place the calls, disk by disk in gap order: disk d's ops
+	// are the contiguous run ops[opStart[d]:opStart[d+1]].
 	ops := make([]opItem, 0, nOps)
 	opStart := make([]int, numDisks+1)
 	// addOp inserts a power op at predicted time t. afterSite >= 0
@@ -388,11 +391,15 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 		}
 		ops = append(ops, opItem{key: k, op: op})
 	}
-	for _, dec := range plan.Decisions {
-		if dec.Act != Stay {
-			d, idle := dec.Disk, dec.PredictedIdleMS
-			start, end, afterSite := gapBounds(d, dec.Gap)
-			preactivate := !dec.Trailing && !opts.DisablePreactivation
+	for d := 0; d < numDisks; d++ {
+		for g, level := range plan.Levels[d] {
+			act := action(level)
+			if act == Stay {
+				continue
+			}
+			idle := plan.PredictedIdle[d][g]
+			start, end, afterSite := gapBounds(d, g)
+			preactivate := g < len(perDisk[d]) && !opts.DisablePreactivation
 			// Pre-activation is anchored a safety margin (a fraction
 			// of the predicted idle length) ahead of the next access,
 			// so a gap that comes out shorter than predicted by up to
@@ -400,12 +407,12 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 			// power-mode choice itself uses the unbiased estimate
 			// (what Table 3 compares).
 			margin := idle * opts.safety() / 100
-			if dec.Act == Dip {
-				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: dec.RPM, PredictedIdleMS: idle})
+			if act == Dip {
+				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
 				if preactivate {
-					tr := p.TransitionTimeMS(dec.RPM, p.MaxRPM)
+					tr := p.TransitionTimeMS(level, p.MaxRPM)
 					up := end - tr - margin - opts.guard(tr)
-					if min := start + p.TransitionTimeMS(p.MaxRPM, dec.RPM); up < min {
+					if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
 						up = min
 					}
 					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})
@@ -421,7 +428,7 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 				}
 			}
 		}
-		opStart[dec.Disk+1] = len(ops)
+		opStart[d+1] = len(ops)
 	}
 
 	plan.Ops = len(ops)
@@ -432,7 +439,9 @@ func Instrument(program string, numDisks int, sites []tracegen.Site, opts Option
 			plan.Calls[i] = Call{Nest: sites[anchor].Nest, Iter: sites[anchor].Iter, Op: ops[i].op}
 		}
 	}
-	return emit(program, numDisks, sites, ops, opStart, m, svc), plan, nil
+	tr := emit(program, numDisks, sites, ops, opStart, m, svc)
+	tr.Files = files
+	return tr, plan, nil
 }
 
 // searchFrom returns sort.Search(n, f) for a search whose answer is

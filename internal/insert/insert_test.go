@@ -13,6 +13,9 @@ import (
 	"sdpm/internal/tracegen"
 )
 
+// testFiles is the file table of the test sites, all in file 0.
+var testFiles = []string{"u"}
+
 // rrSites builds n round-robin 64KB request sites over nd disks with
 // the given compute think time between requests.
 func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
@@ -22,7 +25,7 @@ func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
 	for i := range out {
 		out[i] = tracegen.Site{
 			Nest: 0, Iter: int64(i),
-			File: "u", Unit: int64(i),
+			Unit: int64(i),
 			Disk: i % nd, Block: int64(i/nd) * 128, Bytes: 65536,
 			Kind:     trace.Read,
 			CyclePos: int64(i) * thinkCyc,
@@ -41,7 +44,7 @@ func burstSites(nd, perBurst int, thinkMS float64) []tracegen.Site {
 	for d := 0; d < nd; d++ {
 		for k := 0; k < perBurst; k++ {
 			out = append(out, tracegen.Site{
-				Nest: d, Iter: int64(k), File: "u", Unit: int64(i),
+				Nest: d, Iter: int64(k), Unit: int64(i),
 				Disk: d, Block: int64(k) * 128, Bytes: 65536,
 				Kind: trace.Read, CyclePos: int64(i) * thinkCyc,
 			})
@@ -52,7 +55,7 @@ func burstSites(nd, perBurst int, thinkMS float64) []tracegen.Site {
 }
 
 func baseTrace(nd int, ss []tracegen.Site, m *cycles.Model, p disk.Params) *trace.Trace {
-	return tracegen.FromSites("t", nd, ss, tracegen.Options{
+	return tracegen.FromSites("t", testFiles, nd, ss, tracegen.Options{
 		Model:            m,
 		NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
 	})
@@ -63,7 +66,7 @@ func TestCMDRPMCloseToOracleNoJitter(t *testing.T) {
 	m := cycles.New(cycles.DefaultClockHz, 0, 1)
 	ss := rrSites(8, 2000, 3.44)
 
-	tr, plan, err := Instrument("rr", 8, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
+	tr, plan, err := Instrument("rr", testFiles, 8, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestCMDRPMWithJitterStillNearOracle(t *testing.T) {
 	p := disk.DefaultParams()
 	m := cycles.New(cycles.DefaultClockHz, 20, 7)
 	ss := rrSites(8, 2000, 3.44)
-	tr, _, err := Instrument("rr", 8, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
+	tr, _, err := Instrument("rr", testFiles, 8, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestCMDRPMWithJitterStillNearOracle(t *testing.T) {
 func TestCMTPMNoOpsOnShortGaps(t *testing.T) {
 	p := disk.DefaultParams()
 	ss := rrSites(8, 500, 3.44)
-	tr, plan, err := Instrument("rr", 8, ss, Options{Mode: ModeTPM, Disk: p})
+	tr, plan, err := Instrument("rr", testFiles, 8, ss, Options{Mode: ModeTPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +148,7 @@ func TestCMTPMSavesOnBurstsWithoutPenalty(t *testing.T) {
 	p := disk.DefaultParams()
 	m := cycles.New(cycles.DefaultClockHz, 0, 3)
 	ss := burstSites(4, 3000, 10) // 30s bursts per disk
-	tr, plan, err := Instrument("burst", 4, ss, Options{Mode: ModeTPM, Disk: p, Model: m})
+	tr, plan, err := Instrument("burst", testFiles, 4, ss, Options{Mode: ModeTPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +183,11 @@ func TestPreactivationAblation(t *testing.T) {
 	p := disk.DefaultParams()
 	m := cycles.New(cycles.DefaultClockHz, 0, 3)
 	ss := burstSites(4, 2000, 10)
-	on, _, err := Instrument("b", 4, ss, Options{Mode: ModeTPM, Disk: p, Model: m})
+	on, _, err := Instrument("b", testFiles, 4, ss, Options{Mode: ModeTPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, _, err := Instrument("b", 4, ss, Options{Mode: ModeTPM, Disk: p, Model: m, DisablePreactivation: true})
+	off, _, err := Instrument("b", testFiles, 4, ss, Options{Mode: ModeTPM, Disk: p, Model: m, DisablePreactivation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,16 +209,16 @@ func TestPreactivationAblation(t *testing.T) {
 func TestPlanShape(t *testing.T) {
 	p := disk.DefaultParams()
 	ss := rrSites(4, 40, 3.44)
-	_, plan, err := Instrument("rr", 4, ss, Options{Mode: ModeDRPM, Disk: p})
+	_, plan, err := Instrument("rr", testFiles, 4, ss, Options{Mode: ModeDRPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.Mode != ModeDRPM {
 		t.Error("mode")
 	}
-	// 4 disks x 10 requests -> 11 gaps each.
-	if len(plan.Decisions) != 44 {
-		t.Errorf("decisions = %d", len(plan.Decisions))
+	// 4 disks x 10 requests -> 11 gaps each, the last trailing.
+	if len(plan.Levels) != 4 || len(plan.PredictedIdle) != 4 {
+		t.Fatalf("plan covers %d/%d disks", len(plan.Levels), len(plan.PredictedIdle))
 	}
 	for d := 0; d < 4; d++ {
 		if len(plan.Levels[d]) != 11 || len(plan.PredictedIdle[d]) != 11 {
@@ -225,20 +228,10 @@ func TestPlanShape(t *testing.T) {
 			if l != 0 && p.LevelIndex(l) < 0 {
 				t.Errorf("disk %d gap %d level %d invalid", d, g, l)
 			}
+			if plan.PredictedIdle[d][g] < 0 {
+				t.Errorf("disk %d gap %d: negative predicted idle", d, g)
+			}
 		}
-	}
-	// Trailing decisions flagged.
-	trailing := 0
-	for _, dec := range plan.Decisions {
-		if dec.Trailing {
-			trailing++
-		}
-		if dec.PredictedIdleMS < 0 {
-			t.Error("negative predicted idle")
-		}
-	}
-	if trailing != 4 {
-		t.Errorf("trailing decisions = %d", trailing)
 	}
 	if plan.PredictedEndMS <= 0 {
 		t.Error("predicted end not set")
@@ -248,7 +241,7 @@ func TestPlanShape(t *testing.T) {
 func TestInstrumentedRequestsMatchSites(t *testing.T) {
 	p := disk.DefaultParams()
 	ss := rrSites(8, 100, 3.44)
-	tr, _, err := Instrument("rr", 8, ss, Options{Mode: ModeDRPM, Disk: p})
+	tr, _, err := Instrument("rr", testFiles, 8, ss, Options{Mode: ModeDRPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +268,7 @@ func TestComputeTimePreservedByInsertion(t *testing.T) {
 	p := disk.DefaultParams()
 	m := cycles.New(cycles.DefaultClockHz, 0, 5)
 	ss := rrSites(8, 500, 3.44)
-	tr, _, err := Instrument("rr", 8, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
+	tr, _, err := Instrument("rr", testFiles, 8, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +288,7 @@ func TestComputeTimePreservedByInsertion(t *testing.T) {
 func TestDownOpsFollowTheirRequest(t *testing.T) {
 	p := disk.DefaultParams()
 	ss := rrSites(2, 10, 60) // long gaps so every gap dips
-	tr, _, err := Instrument("rr", 2, ss, Options{Mode: ModeDRPM, Disk: p})
+	tr, _, err := Instrument("rr", testFiles, 2, ss, Options{Mode: ModeDRPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,12 +320,12 @@ func TestInstrumentErrors(t *testing.T) {
 	p := disk.DefaultParams()
 	bad := p
 	bad.RPMStep = 0
-	if _, _, err := Instrument("x", 2, rrSites(2, 4, 1), Options{Mode: ModeDRPM, Disk: bad}); err == nil {
+	if _, _, err := Instrument("x", testFiles, 2, rrSites(2, 4, 1), Options{Mode: ModeDRPM, Disk: bad}); err == nil {
 		t.Error("bad params accepted")
 	}
 	ss := rrSites(2, 4, 1)
 	ss[0].Disk = 9
-	if _, _, err := Instrument("x", 2, ss, Options{Mode: ModeDRPM, Disk: p}); err == nil {
+	if _, _, err := Instrument("x", testFiles, 2, ss, Options{Mode: ModeDRPM, Disk: p}); err == nil {
 		t.Error("bad sites accepted")
 	}
 }
@@ -354,7 +347,7 @@ func TestEstimateMatchesManualCase(t *testing.T) {
 		{Disk: 0, Bytes: 65536, Kind: trace.Read, CyclePos: 0},
 		{Disk: 0, Bytes: 65536, Kind: trace.Read, CyclePos: cycles.New(cycles.DefaultClockHz, 0, 0).CyclesForMS(200)},
 	}
-	_, plan, err := Instrument("m", 1, ss, Options{Mode: ModeDRPM, Disk: p})
+	_, plan, err := Instrument("m", testFiles, 1, ss, Options{Mode: ModeDRPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +402,7 @@ func TestEstimateTPMStandbyGaps(t *testing.T) {
 		{Disk: 0, Bytes: 65536, Kind: trace.Read, CyclePos: 0},
 		{Disk: 0, Bytes: 65536, Kind: trace.Read, CyclePos: long},
 	}
-	_, plan, err := Instrument("m", 1, ss, Options{Mode: ModeTPM, Disk: p, Model: m})
+	_, plan, err := Instrument("m", testFiles, 1, ss, Options{Mode: ModeTPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +437,7 @@ func TestInstrumentOrderingInvariant(t *testing.T) {
 			cluster := 1 + rng.Intn(4)
 			for c := 0; c < cluster && i < n; c++ {
 				ss = append(ss, tracegen.Site{
-					File: "u", Unit: int64(i), Iter: int64(i),
+					Unit: int64(i), Iter: int64(i),
 					Disk: rng.Intn(nd), Block: int64(i) * 128, Bytes: 65536,
 					Kind: trace.Read, CyclePos: cyc,
 				})
@@ -452,7 +445,7 @@ func TestInstrumentOrderingInvariant(t *testing.T) {
 			}
 			i--
 		}
-		tr, _, err := Instrument("rand", nd, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
+		tr, _, err := Instrument("rand", testFiles, nd, ss, Options{Mode: ModeDRPM, Disk: p, Model: m})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

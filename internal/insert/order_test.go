@@ -1,6 +1,7 @@
 package insert
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -15,15 +16,17 @@ import (
 )
 
 // assertSameAsReference instruments the sites with Instrument and with
-// the global-sort reference and fails unless both the traces and the
-// plans are deep-equal.
+// the global-sort reference and fails unless the traces are deep-equal
+// and encode to the same bytes, and the plans agree on every field:
+// mode, predicted end, per-period levels and idle estimates, calls and
+// op count.
 func assertSameAsReference(t *testing.T, label string, nd int, ss []tracegen.Site, opts Options) {
 	t.Helper()
-	gotTr, gotPlan, err := Instrument(label, nd, ss, opts)
+	gotTr, gotPlan, err := Instrument(label, testFiles, nd, ss, opts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	wantTr, wantPlan, err := instrumentReference(label, nd, ss, opts)
+	wantTr, wantPlan, err := instrumentReference(label, testFiles, nd, ss, opts)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
@@ -35,8 +38,27 @@ func assertSameAsReference(t *testing.T, label string, nd int, ss []tracegen.Sit
 		}
 		t.Fatalf("%s: trace differs from the reference", label)
 	}
-	if !reflect.DeepEqual(gotPlan, wantPlan) {
-		t.Fatalf("%s: plan differs from the reference", label)
+	var gotBytes, wantBytes bytes.Buffer
+	if err := gotTr.Encode(&gotBytes); err != nil {
+		t.Fatal(err)
+	}
+	if err := wantTr.Encode(&wantBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotBytes.Bytes(), wantBytes.Bytes()) {
+		t.Fatalf("%s: trace encodes differently from the reference", label)
+	}
+	if gotPlan.Mode != wantPlan.Mode || gotPlan.PredictedEndMS != wantPlan.PredictedEndMS {
+		t.Fatalf("%s: plan mode/end %v/%v, reference %v/%v", label, gotPlan.Mode, gotPlan.PredictedEndMS, wantPlan.Mode, wantPlan.PredictedEndMS)
+	}
+	if !reflect.DeepEqual(gotPlan.Levels, wantPlan.Levels) {
+		t.Fatalf("%s: plan levels differ from the reference", label)
+	}
+	if !reflect.DeepEqual(gotPlan.PredictedIdle, wantPlan.PredictedIdle) {
+		t.Fatalf("%s: plan idle estimates differ from the reference", label)
+	}
+	if gotPlan.Ops != wantPlan.Ops || !reflect.DeepEqual(gotPlan.Calls, wantPlan.Calls) {
+		t.Fatalf("%s: plan calls differ from the reference (%d ops, reference %d)", label, gotPlan.Ops, wantPlan.Ops)
 	}
 }
 
@@ -52,7 +74,7 @@ func randomSites(rng *rand.Rand, m *cycles.Model, nd, n int, scaleMS float64) []
 		for c := 1 + rng.Intn(5); c > 0 && len(ss) < n; c-- {
 			i := len(ss)
 			ss = append(ss, tracegen.Site{
-				Nest: i / 50, Iter: int64(i), File: "u", Unit: int64(i),
+				Nest: i / 50, Iter: int64(i), Unit: int64(i),
 				Disk: rng.Intn(nd), Block: int64(i) * 128, Bytes: int64(4096 * (1 + rng.Intn(32))),
 				Kind: trace.Read, CyclePos: cyc,
 			})
@@ -118,7 +140,7 @@ func TestEmitSortsUnsortedDiskList(t *testing.T) {
 	ss := make([]tracegen.Site, 6)
 	for i := range ss {
 		ss[i] = tracegen.Site{
-			Nest: i / 3, Iter: int64(i), File: "u", Unit: int64(i),
+			Nest: i / 3, Iter: int64(i), Unit: int64(i),
 			Disk: i % 3, Block: int64(i), Bytes: 65536, Kind: trace.Read,
 			CyclePos: int64(i/2) * 1000000,
 		}

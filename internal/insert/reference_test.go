@@ -26,7 +26,7 @@ type mergedItem struct {
 // became a merge: every request site and every op go into one slice
 // that a global stable sort puts in stream order. It is the oracle
 // of the insertion-order differential tests.
-func instrumentReference(program string, numDisks int, sites []tracegen.Site, opts Options) (*trace.Trace, *Plan, error) {
+func instrumentReference(program string, files []string, numDisks int, sites []tracegen.Site, opts Options) (*trace.Trace, *Plan, error) {
 	if err := opts.Disk.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -160,7 +160,6 @@ func instrumentReference(program string, numDisks int, sites []tracegen.Site, op
 				idle = 0
 			}
 			plan.PredictedIdle[d][g] = idle
-			dec := GapDecision{Disk: d, Gap: g, PredictedIdleMS: idle, Act: Stay, RPM: p.MaxRPM, Trailing: trailing}
 			plan.Levels[d][g] = p.MaxRPM
 
 			// Pre-activation is anchored a safety margin (a fraction
@@ -179,8 +178,6 @@ func instrumentReference(program string, numDisks int, sites []tracegen.Site, op
 					level, _ = tbl.BestRPMForIdle(idle)
 				}
 				if level != p.MaxRPM {
-					dec.Act = Dip
-					dec.RPM = level
 					plan.Levels[d][g] = level
 					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
@@ -200,7 +197,6 @@ func instrumentReference(program string, numDisks int, sites []tracegen.Site, op
 					worthIt = p.StandbyEnergyJ(idle) < p.IdleEnergyJ(idle)
 				}
 				if worthIt {
-					dec.Act = Standby
 					plan.Levels[d][g] = 0
 					addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSpinDown, PredictedIdleMS: idle})
 					if !trailing && !opts.DisablePreactivation {
@@ -214,11 +210,12 @@ func instrumentReference(program string, numDisks int, sites []tracegen.Site, op
 			default:
 				return nil, nil, fmt.Errorf("insert: unknown mode %d", opts.Mode)
 			}
-			plan.Decisions = append(plan.Decisions, dec)
 		}
 	}
 
-	return referenceEmit(program, numDisks, sites, items, m, svc), plan, nil
+	tr := referenceEmit(program, numDisks, sites, items, m, svc)
+	tr.Files = files
+	return tr, plan, nil
 }
 
 // referenceEmit orders the assembled items with one global stable

@@ -7,6 +7,7 @@ package layout
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -70,16 +71,30 @@ type Extent struct {
 
 // Subsystem tracks the files placed on a multi-disk subsystem and
 // maps array byte ranges to per-disk extents with absolute block
-// numbers. Files are allocated disk space in placement order.
+// numbers. Files are allocated disk space in placement order, and
+// numbered in that order: a file's id is its index in Files, and the
+// unit-granularity hot path (MapUnit, UnitKey) takes ids, not names.
 type Subsystem struct {
-	numDisks  int
-	stripings map[string]Striping
-	sizes     map[string]int64
-	// base[name] is the per-disk starting byte of the file's local
-	// allocation on each disk it is striped over (indexed by disk id).
-	base     map[string][]int64
+	numDisks int
+	ids      map[string]int32
+	files    []placedFile // indexed by file id
+	names    []string     // indexed by file id
 	nextFree []int64
-	order    []string
+	// units is the number of stripe units placed so far, the next
+	// file's first UnitKey.
+	units int64
+}
+
+// placedFile is one placed file.
+type placedFile struct {
+	st   Striping
+	size int64
+	// firstUnit is the UnitKey of the file's unit 0; numUnits is its
+	// stripe unit count.
+	firstUnit, numUnits int64
+	// base[d] is the starting byte of the file's local allocation on
+	// disk d (-1 for disks outside its stripe set).
+	base []int64
 }
 
 // SubsystemSizeError reports an invalid disk count passed to
@@ -110,11 +125,9 @@ func NewSubsystem(numDisks int) (*Subsystem, error) {
 		return nil, &SubsystemSizeError{NumDisks: numDisks}
 	}
 	return &Subsystem{
-		numDisks:  numDisks,
-		stripings: make(map[string]Striping),
-		sizes:     make(map[string]int64),
-		base:      make(map[string][]int64),
-		nextFree:  make([]int64, numDisks),
+		numDisks: numDisks,
+		ids:      make(map[string]int32),
+		nextFree: make([]int64, numDisks),
 	}, nil
 }
 
@@ -131,14 +144,30 @@ func MustSubsystem(numDisks int) *Subsystem {
 // NumDisks returns the number of disks in the subsystem.
 func (s *Subsystem) NumDisks() int { return s.numDisks }
 
-// Files returns the placed file names in placement order.
-func (s *Subsystem) Files() []string { return append([]string(nil), s.order...) }
+// Files returns the placed file names in placement order: the name
+// table file ids index. The slice is shared and must not be modified.
+func (s *Subsystem) Files() []string { return s.names[:len(s.names):len(s.names)] }
+
+// FileID returns the id of a placed file.
+func (s *Subsystem) FileID(name string) (int32, bool) {
+	id, ok := s.ids[name]
+	return id, ok
+}
+
+// file returns the placed file with the given name.
+func (s *Subsystem) file(name string) (*placedFile, error) {
+	id, ok := s.ids[name]
+	if !ok {
+		return nil, &NotPlacedError{File: name}
+	}
+	return &s.files[id], nil
+}
 
 // Place allocates space for a file of the given size with the given
 // striping. The per-disk share of the file is allocated contiguously
 // at each disk's current allocation frontier.
 func (s *Subsystem) Place(name string, size int64, st Striping) error {
-	if _, dup := s.stripings[name]; dup {
+	if _, dup := s.ids[name]; dup {
 		return fmt.Errorf("layout: file %q already placed", name)
 	}
 	if size <= 0 {
@@ -152,6 +181,12 @@ func (s *Subsystem) Place(name string, size int64, st Striping) error {
 		bases[i] = -1
 	}
 	units := (size + st.UnitBytes - 1) / st.UnitBytes
+	if units > math.MaxInt64-s.units {
+		return fmt.Errorf("layout: file %q: subsystem exceeds %d stripe units", name, int64(math.MaxInt64))
+	}
+	if len(s.files) == math.MaxInt32 {
+		return fmt.Errorf("layout: file %q: subsystem holds %d files already", name, len(s.files))
+	}
 	for _, d := range st.Disks(s.numDisks) {
 		// Per-disk share: ceil(units/Factor) stripe units, rounded up
 		// so every disk in the stripe set reserves the same extent.
@@ -159,68 +194,74 @@ func (s *Subsystem) Place(name string, size int64, st Striping) error {
 		bases[d] = s.nextFree[d]
 		s.nextFree[d] += perDisk
 	}
-	s.stripings[name] = st
-	s.sizes[name] = size
-	s.base[name] = bases
-	s.order = append(s.order, name)
+	s.ids[name] = int32(len(s.files))
+	s.files = append(s.files, placedFile{st: st, size: size, firstUnit: s.units, numUnits: units, base: bases})
+	s.names = append(s.names, name)
+	s.units += units
 	return nil
 }
 
 // StripingOf returns the striping of a placed file.
 func (s *Subsystem) StripingOf(name string) (Striping, bool) {
-	st, ok := s.stripings[name]
-	return st, ok
+	f, err := s.file(name)
+	if err != nil {
+		return Striping{}, false
+	}
+	return f.st, true
 }
 
 // SizeOf returns the placed size of a file.
 func (s *Subsystem) SizeOf(name string) (int64, bool) {
-	sz, ok := s.sizes[name]
-	return sz, ok
+	f, err := s.file(name)
+	if err != nil {
+		return 0, false
+	}
+	return f.size, true
 }
 
 // DisksOf returns the disks a placed file occupies, sorted ascending.
 func (s *Subsystem) DisksOf(name string) []int {
-	st, ok := s.stripings[name]
-	if !ok {
+	f, err := s.file(name)
+	if err != nil {
 		return nil
 	}
-	ds := st.Disks(s.numDisks)
+	ds := f.st.Disks(s.numDisks)
 	sort.Ints(ds)
 	return ds
 }
 
 // DiskOf returns the disk holding byte offset off of the named file.
 func (s *Subsystem) DiskOf(name string, off int64) (int, error) {
-	st, ok := s.stripings[name]
-	if !ok {
-		return 0, &NotPlacedError{File: name}
+	f, err := s.file(name)
+	if err != nil {
+		return 0, err
 	}
-	if off < 0 || off >= s.sizes[name] {
-		return 0, fmt.Errorf("layout: file %q: offset %d out of range [0,%d)", name, off, s.sizes[name])
+	if off < 0 || off >= f.size {
+		return 0, fmt.Errorf("layout: file %q: offset %d out of range [0,%d)", name, off, f.size)
 	}
-	return st.DiskOfUnit(st.UnitOf(off), s.numDisks), nil
+	return f.st.DiskOfUnit(f.st.UnitOf(off), s.numDisks), nil
 }
 
 // UnitOf returns the stripe unit index containing byte offset off of
 // the named file. Unit indices are file-global and suitable as buffer
 // cache keys.
 func (s *Subsystem) UnitOf(name string, off int64) (int64, error) {
-	st, ok := s.stripings[name]
-	if !ok {
-		return 0, &NotPlacedError{File: name}
+	f, err := s.file(name)
+	if err != nil {
+		return 0, err
 	}
-	return st.UnitOf(off), nil
+	return f.st.UnitOf(off), nil
 }
 
 // Map splits the byte range [off, off+n) of the named file into
 // per-disk extents with absolute block numbers, in ascending file
 // offset order.
 func (s *Subsystem) Map(name string, off, n int64) ([]Extent, error) {
-	st, ok := s.stripings[name]
-	if !ok {
-		return nil, &NotPlacedError{File: name}
+	f, err := s.file(name)
+	if err != nil {
+		return nil, err
 	}
-	size := s.sizes[name]
+	st, size := f.st, f.size
 	if off < 0 || n <= 0 || off+n > size {
 		return nil, fmt.Errorf("layout: file %q: range [%d,%d) out of [0,%d)", name, off, off+n, size)
 	}
@@ -238,7 +279,7 @@ func (s *Subsystem) Map(name string, off, n int64) ([]Extent, error) {
 			take = n
 		}
 		d := st.DiskOfUnit(u, s.numDisks)
-		localByte := s.base[name][d] + (u/int64(st.Factor))*st.UnitBytes + inUnit
+		localByte := f.base[d] + (u/int64(st.Factor))*st.UnitBytes + inUnit
 		// Merge with the previous span when contiguous on disk.
 		if k := len(spans) - 1; k >= 0 && spans[k].disk == d && spans[k].start+spans[k].bytes == localByte {
 			spans[k].bytes += take
@@ -255,24 +296,45 @@ func (s *Subsystem) Map(name string, off, n int64) ([]Extent, error) {
 	return out, nil
 }
 
-// MapUnit maps one whole stripe unit of the named file to its single
-// disk extent. Requests in the simulated workloads are issued at
-// stripe-unit granularity, so this is the hot path.
-func (s *Subsystem) MapUnit(name string, u int64) (Extent, error) {
-	st, ok := s.stripings[name]
-	if !ok {
-		return Extent{}, &NotPlacedError{File: name}
+// unit returns the record of file id after checking that the file is
+// placed and holds unit u.
+func (s *Subsystem) unit(id int32, u int64) (*placedFile, error) {
+	if id < 0 || int(id) >= len(s.files) {
+		return nil, fmt.Errorf("layout: file id %d not placed", id)
 	}
-	size := s.sizes[name]
-	off := u * st.UnitBytes
-	if off < 0 || off >= size {
-		return Extent{}, fmt.Errorf("layout: file %q: unit %d out of range", name, u)
+	f := &s.files[id]
+	if u < 0 || u >= f.numUnits {
+		return nil, fmt.Errorf("layout: file %q: unit %d out of range", s.names[id], u)
 	}
-	n := st.UnitBytes
-	if off+n > size {
-		n = size - off
+	return f, nil
+}
+
+// MapUnit maps one whole stripe unit of file id to its single disk
+// extent. Requests in the simulated workloads are issued at
+// stripe-unit granularity, so this is the hot path: it indexes the
+// file table and looks nothing up by name.
+func (s *Subsystem) MapUnit(id int32, u int64) (Extent, error) {
+	f, err := s.unit(id, u)
+	if err != nil {
+		return Extent{}, err
 	}
-	d := st.DiskOfUnit(u, s.numDisks)
-	localByte := s.base[name][d] + (u/int64(st.Factor))*st.UnitBytes
+	off := u * f.st.UnitBytes
+	n := min(f.st.UnitBytes, f.size-off)
+	d := f.st.DiskOfUnit(u, s.numDisks)
+	localByte := f.base[d] + (u/int64(f.st.Factor))*f.st.UnitBytes
 	return Extent{Disk: d, Block: localByte / BlockSize, Bytes: n}, nil
+}
+
+// UnitKey packs unit u of file id into one integer, for keying the
+// buffer cache. Every placed file's units are numbered consecutively
+// in placement order, so the packing is injective without bounding
+// the file count or the unit index separately. Like MapUnit it
+// rejects an unplaced file or an out-of-range unit, so a key never
+// aliases another file's unit.
+func (s *Subsystem) UnitKey(id int32, u int64) (uint64, error) {
+	f, err := s.unit(id, u)
+	if err != nil {
+		return 0, err
+	}
+	return uint64(f.firstUnit + u), nil
 }

@@ -206,11 +206,24 @@ func TestMapErrors(t *testing.T) {
 	if _, err := s.UnitOf("nope", 0); err == nil {
 		t.Error("UnitOf unknown file accepted")
 	}
-	if _, err := s.MapUnit("nope", 0); err == nil {
+	if _, err := s.MapUnit(7, 0); err == nil {
 		t.Error("MapUnit unknown file accepted")
 	}
-	if _, err := s.MapUnit("f", 99); err == nil {
+	if _, err := s.MapUnit(-1, 0); err == nil {
+		t.Error("MapUnit negative file id accepted")
+	}
+	f, _ := s.FileID("f")
+	if _, err := s.MapUnit(f, 99); err == nil {
 		t.Error("MapUnit out-of-range accepted")
+	}
+	if _, err := s.MapUnit(f, -1); err == nil {
+		t.Error("MapUnit negative unit accepted")
+	}
+	if _, err := s.UnitKey(f, 99); err == nil {
+		t.Error("UnitKey out-of-range accepted")
+	}
+	if _, err := s.UnitKey(7, 0); err == nil {
+		t.Error("UnitKey unknown file accepted")
 	}
 }
 
@@ -222,8 +235,12 @@ func TestMapUnitAgreesWithMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	units := (size + st.UnitBytes - 1) / st.UnitBytes
+	f, ok := s.FileID("f")
+	if !ok {
+		t.Fatal("FileID(f) not found")
+	}
 	for u := int64(0); u < units; u++ {
-		me, err := s.MapUnit("f", u)
+		me, err := s.MapUnit(f, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,5 +344,47 @@ func TestSizeStripingAccessors(t *testing.T) {
 	fs := s.Files()
 	if len(fs) != 1 || fs[0] != "f" {
 		t.Errorf("Files = %v", fs)
+	}
+}
+
+func TestFileIDsAndUnitKeys(t *testing.T) {
+	s := MustSubsystem(4)
+	sizes := map[string]int64{"a": 4096*3 + 1, "b": 4096, "c": 4096 * 5}
+	for _, name := range []string{"a", "b", "c"} {
+		if err := s.Place(name, sizes[name], Striping{Factor: 2, UnitBytes: 4096}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Files(); len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+		t.Fatalf("Files = %v, want placement order", got)
+	}
+	seen := make(map[uint64]string)
+	var want uint64
+	for i, name := range s.Files() {
+		id, ok := s.FileID(name)
+		if !ok || int(id) != i {
+			t.Fatalf("FileID(%q) = %d, %v; want %d", name, id, ok, i)
+		}
+		units := (sizes[name] + 4095) / 4096
+		for u := int64(0); u < units; u++ {
+			k, err := s.UnitKey(id, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k != want {
+				t.Errorf("UnitKey(%s, %d) = %d, want %d (consecutive)", name, u, k, want)
+			}
+			if prev, dup := seen[k]; dup {
+				t.Errorf("UnitKey(%s, %d) = %d collides with %s", name, u, k, prev)
+			}
+			seen[k] = name
+			want++
+		}
+		if _, err := s.UnitKey(id, units); err == nil {
+			t.Errorf("UnitKey(%s, %d) past the last unit accepted", name, units)
+		}
+	}
+	if _, ok := s.FileID("nope"); ok {
+		t.Error("FileID of an unplaced file found")
 	}
 }

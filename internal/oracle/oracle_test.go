@@ -17,7 +17,7 @@ func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
 	out := make([]tracegen.Site, n)
 	for i := range out {
 		out[i] = tracegen.Site{
-			File: "u", Unit: int64(i), Iter: int64(i),
+			Unit: int64(i), Iter: int64(i),
 			Disk: i % nd, Block: int64(i/nd) * 128, Bytes: 65536,
 			Kind: trace.Read, CyclePos: int64(i) * thinkCyc,
 		}
@@ -27,7 +27,7 @@ func rrSites(nd, n int, thinkMS float64) []tracegen.Site {
 
 func runBase(t *testing.T, ss []tracegen.Site, nd int, m *cycles.Model, p disk.Params) *sim.Result {
 	t.Helper()
-	bt := tracegen.FromSites("t", nd, ss, tracegen.Options{
+	bt := tracegen.FromSites("t", nil, nd, ss, tracegen.Options{
 		Model:            m,
 		NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
 	})
@@ -42,7 +42,7 @@ func TestZeroNoiseZeroMisprediction(t *testing.T) {
 	p := disk.DefaultParams()
 	m := cycles.New(cycles.DefaultClockHz, 0, 1)
 	ss := rrSites(8, 800, 3.44)
-	_, plan, err := insert.Instrument("rr", 8, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p, Model: m})
+	_, plan, err := insert.Instrument("rr", nil, 8, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func hetSites(nd, perNest, nests int) []tracegen.Site {
 		for k := 0; k < perNest; k++ {
 			cyc += thinkCyc
 			out = append(out, tracegen.Site{
-				Nest: n, Iter: int64(k), File: "u", Unit: int64(i),
+				Nest: n, Iter: int64(k), Unit: int64(i),
 				Disk: i % nd, Block: int64(i/nd) * 128, Bytes: 65536,
 				Kind: trace.Read, CyclePos: cyc,
 			})
@@ -91,7 +91,7 @@ func TestBiasCausesMispredictions(t *testing.T) {
 	m := cycles.New(cycles.DefaultClockHz, 10, 9)
 	m.BiasPct = 25
 	ss := hetSites(8, 240, 12)
-	_, plan, err := insert.Instrument("het", 8, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p, Model: m})
+	_, plan, err := insert.Instrument("het", nil, 8, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p, Model: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestMoreBiasMoreMispredictions(t *testing.T) {
 	for _, bias := range []float64{0, 15, 40} {
 		m := cycles.New(cycles.DefaultClockHz, 5, 9)
 		m.BiasPct = bias
-		_, plan, err := insert.Instrument("het", 8, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p, Model: m})
+		_, plan, err := insert.Instrument("het", nil, 8, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p, Model: m})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,14 +138,14 @@ func TestMoreBiasMoreMispredictions(t *testing.T) {
 func TestMispredictionsErrors(t *testing.T) {
 	p := disk.DefaultParams()
 	ss := rrSites(2, 8, 3.44)
-	_, planTPM, err := insert.Instrument("rr", 2, ss, insert.Options{Mode: insert.ModeTPM, Disk: p})
+	_, planTPM, err := insert.Instrument("rr", nil, 2, ss, insert.Options{Mode: insert.ModeTPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Mispredictions(planTPM, nil, p); err == nil {
 		t.Error("TPM plan accepted")
 	}
-	_, plan, err := insert.Instrument("rr", 2, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p})
+	_, plan, err := insert.Instrument("rr", nil, 2, ss, insert.Options{Mode: insert.ModeDRPM, Disk: p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,26 +44,30 @@ func (k ReqKind) String() string {
 }
 
 // Request is one disk I/O request. Requests are issued at
-// stripe-unit granularity, so each touches exactly one disk.
+// stripe-unit granularity, so each touches exactly one disk. A
+// Request holds no pointers (the file is an id into Trace.Files), and
+// its fields are ordered to pack it into 64 bytes.
 type Request struct {
 	// ArrivalMS is the nominal arrival time in the unperturbed
 	// (full-speed, no-power-management) schedule; the paper's trace
 	// format field. The simulator recomputes actual issue times from
 	// the closed-loop gaps.
 	ArrivalMS float64
-	// Disk, Block, Bytes, Kind describe the physical access.
-	Disk  int
+	// Block and Bytes, with Disk and Kind, describe the physical
+	// access.
 	Block int64
 	Bytes int64
-	Kind  ReqKind
-	// File and Unit identify the stripe unit for cache/oracle
+	// Unit, with File, identifies the stripe unit for cache/oracle
 	// bookkeeping.
-	File string
 	Unit int64
-	// Nest and Iter locate the request in the program's iteration
+	// Iter and Nest locate the request in the program's iteration
 	// space (linearized iteration within the nest).
-	Nest int
 	Iter int64
+	Disk int
+	Nest int
+	// File indexes the trace's Files name table.
+	File int32
+	Kind ReqKind
 }
 
 // OpKind is the power-management call type.
@@ -126,8 +130,21 @@ type Trace struct {
 	Program string
 	// NumDisks is the size of the disk subsystem the trace targets.
 	NumDisks int
+	// Files is the name table Request.File indexes: the program's
+	// array files, in placement order. It may be empty, in which case
+	// every request's File is 0 and names no file.
+	Files []string
 	// Events is the program-order event stream.
 	Events []Event
+}
+
+// FileName returns the name of file id f, or "" when f names no file
+// (an empty table).
+func (t *Trace) FileName(f int32) string {
+	if f < 0 || int(f) >= len(t.Files) {
+		return ""
+	}
+	return t.Files[f]
 }
 
 // NumRequests returns the number of I/O requests in the trace.
@@ -179,7 +196,7 @@ func (t *Trace) PerDiskRequests() []int {
 // folded into the following event), for running a compiler-
 // instrumented trace under a reactive or base policy.
 func (t *Trace) WithoutPowerOps() *Trace {
-	out := &Trace{Program: t.Program, NumDisks: t.NumDisks}
+	out := &Trace{Program: t.Program, NumDisks: t.NumDisks, Files: t.Files}
 	var carry float64
 	for i := range t.Events {
 		ev := t.Events[i]
@@ -200,10 +217,14 @@ func (t *Trace) WithoutPowerOps() *Trace {
 // anchors are meaningless across programs), and the compute gaps are
 // recomputed as arrival deltas, so the merged trace is intended for
 // open-loop replay — the server scenario the paper's single-program
-// evaluation sets aside.
+// evaluation sets aside. The merged trace's Files table holds every
+// input's file names once each, in first-appearance order, and each
+// request's file id is remapped into it, so every request keeps its
+// file name.
 func MergeOpen(numDisks int, traces ...*Trace) (*Trace, error) {
 	out := &Trace{NumDisks: numDisks}
 	var names []string
+	ids := make(map[string]int32)
 	for _, t := range traces {
 		if t.NumDisks > numDisks {
 			return nil, fmt.Errorf("trace: input uses %d disks, merged subsystem has %d", t.NumDisks, numDisks)
@@ -211,7 +232,9 @@ func MergeOpen(numDisks int, traces ...*Trace) (*Trace, error) {
 		names = append(names, t.Program)
 		for i := range t.Events {
 			if t.Events[i].Kind == EvRequest {
-				out.Events = append(out.Events, t.Events[i])
+				ev := t.Events[i]
+				ev.Req.File = out.intern(ids, t.FileName(ev.Req.File))
+				out.Events = append(out.Events, ev)
 			}
 		}
 	}
@@ -227,8 +250,21 @@ func MergeOpen(numDisks int, traces ...*Trace) (*Trace, error) {
 	return out, nil
 }
 
-// Validate checks trace invariants: disks in range, positive request
-// sizes, non-negative gaps, and non-decreasing nominal arrivals.
+// intern returns name's id in t.Files, appending it on first use; ids
+// maps the names already in the table.
+func (t *Trace) intern(ids map[string]int32, name string) int32 {
+	id, ok := ids[name]
+	if !ok {
+		id = int32(len(t.Files))
+		ids[name] = id
+		t.Files = append(t.Files, name)
+	}
+	return id
+}
+
+// Validate checks trace invariants: disks in range, file ids in the
+// Files table (or 0 when it is empty), positive request sizes,
+// non-negative gaps, and non-decreasing nominal arrivals.
 func (t *Trace) Validate() error {
 	if t.NumDisks <= 0 {
 		return fmt.Errorf("trace: non-positive disk count %d", t.NumDisks)
@@ -249,6 +285,9 @@ func (t *Trace) Validate() error {
 			}
 			if r.Disk < 0 || r.Disk >= t.NumDisks {
 				return fmt.Errorf("trace: event %d disk %d out of range", i, r.Disk)
+			}
+			if r.File < 0 || int(r.File) >= max(len(t.Files), 1) {
+				return fmt.Errorf("trace: event %d file id %d outside the %d-name file table", i, r.File, len(t.Files))
 			}
 			if r.Bytes <= 0 {
 				return fmt.Errorf("trace: event %d has non-positive size", i)
@@ -295,7 +334,7 @@ func (t *Trace) Encode(w io.Writer) error {
 		case EvRequest:
 			r := &ev.Req
 			fmt.Fprintf(bw, "R %.6f %d %d %d %s %.6f %s %d %d %d\n",
-				r.ArrivalMS, r.Disk, r.Block, r.Bytes, r.Kind, ev.GapMS, nonEmpty(r.File), r.Unit, r.Nest, r.Iter)
+				r.ArrivalMS, r.Disk, r.Block, r.Bytes, r.Kind, ev.GapMS, nonEmpty(t.FileName(r.File)), r.Unit, r.Nest, r.Iter)
 		case EvPowerOp:
 			o := &ev.Op
 			fmt.Fprintf(bw, "P %d %s %d %.6f %.6f\n", o.Disk, o.Kind, o.RPM, ev.GapMS, o.PredictedIdleMS)
@@ -318,11 +357,13 @@ func fromDash(s string) string {
 	return s
 }
 
-// Decode parses a trace in the textual interchange format.
+// Decode parses a trace in the textual interchange format. File names
+// are interned into Files in first-appearance order.
 func Decode(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
 	t := &Trace{}
+	ids := make(map[string]int32)
 	sawHeader := false
 	line := 0
 	for sc.Scan() {
@@ -377,7 +418,7 @@ func Decode(r io.Reader) (*Trace, error) {
 			if ev.GapMS, err = strconv.ParseFloat(fields[6], 64); err != nil {
 				return nil, fmt.Errorf("trace: line %d: gap: %v", line, err)
 			}
-			ev.Req.File = fromDash(fields[7])
+			ev.Req.File = t.intern(ids, fromDash(fields[7]))
 			if ev.Req.Unit, err = strconv.ParseInt(fields[8], 10, 64); err != nil {
 				return nil, fmt.Errorf("trace: line %d: unit: %v", line, err)
 			}

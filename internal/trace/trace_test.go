@@ -11,13 +11,14 @@ func sampleTrace() *Trace {
 	return &Trace{
 		Program:  "demo",
 		NumDisks: 4,
+		Files:    []string{"u", "v"},
 		Events: []Event{
-			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 0, Disk: 0, Block: 0, Bytes: 65536, Kind: Read, File: "u", Unit: 0, Nest: 0, Iter: 0}},
+			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 0, Disk: 0, Block: 0, Bytes: 65536, Kind: Read, File: 0, Unit: 0, Nest: 0, Iter: 0}},
 			{Kind: EvPowerOp, GapMS: 1.0, Op: PowerOp{Disk: 2, Kind: OpSetRPM, RPM: 4200, PredictedIdleMS: 73.5}},
-			{Kind: EvRequest, GapMS: 2.44, Req: Request{ArrivalMS: 10, Disk: 1, Block: 128, Bytes: 65536, Kind: Write, File: "u", Unit: 1, Nest: 0, Iter: 8192}},
+			{Kind: EvRequest, GapMS: 2.44, Req: Request{ArrivalMS: 10, Disk: 1, Block: 128, Bytes: 65536, Kind: Write, File: 0, Unit: 1, Nest: 0, Iter: 8192}},
 			{Kind: EvPowerOp, GapMS: 0, Op: PowerOp{Disk: 2, Kind: OpSpinUp}},
 			{Kind: EvPowerOp, GapMS: 0, Op: PowerOp{Disk: 3, Kind: OpSpinDown, PredictedIdleMS: 20000}},
-			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 20, Disk: 2, Block: 0, Bytes: 4096, Kind: Read, File: "v", Unit: 0, Nest: 1, Iter: 5}},
+			{Kind: EvRequest, GapMS: 3.44, Req: Request{ArrivalMS: 20, Disk: 2, Block: 0, Bytes: 4096, Kind: Read, File: 1, Unit: 0, Nest: 1, Iter: 5}},
 		},
 	}
 }
@@ -52,6 +53,8 @@ func TestValidateCatches(t *testing.T) {
 		func(tr *Trace) { tr.Events[0].Req.Disk = 9 },
 		func(tr *Trace) { tr.Events[0].Req.Bytes = 0 },
 		func(tr *Trace) { tr.Events[0].Req.Block = -1 },
+		func(tr *Trace) { tr.Events[0].Req.File = 2 },       // past the file table
+		func(tr *Trace) { tr.Events[0].Req.File = -1 },      // negative id
 		func(tr *Trace) { tr.Events[2].Req.ArrivalMS = -5 }, // before event 0's arrival 0
 		func(tr *Trace) { tr.Events[1].Op.Disk = -1 },
 		func(tr *Trace) { tr.Events[1].Op.RPM = 0 },
@@ -101,7 +104,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if a.Kind == EvRequest {
 			if a.Req.Disk != b.Req.Disk || a.Req.Block != b.Req.Block ||
 				a.Req.Bytes != b.Req.Bytes || a.Req.Kind != b.Req.Kind ||
-				a.Req.File != b.Req.File || a.Req.Unit != b.Req.Unit ||
+				tr.FileName(a.Req.File) != got.FileName(b.Req.File) || a.Req.Unit != b.Req.Unit ||
 				a.Req.Nest != b.Req.Nest || a.Req.Iter != b.Req.Iter {
 				t.Fatalf("event %d request mismatch: %+v vs %+v", i, a.Req, b.Req)
 			}
@@ -144,7 +147,7 @@ func TestDecodeSkipsCommentsAndBlank(t *testing.T) {
 		t.Fatalf("NumRequests = %d", tr.NumRequests())
 	}
 	r := tr.Events[0].Req
-	if r.Disk != 1 || r.Block != 2 || r.Bytes != 512 || r.Kind != Write || r.File != "f" || r.Unit != 3 || r.Nest != 1 || r.Iter != 42 {
+	if r.Disk != 1 || r.Block != 2 || r.Bytes != 512 || r.Kind != Write || tr.FileName(r.File) != "f" || r.Unit != 3 || r.Nest != 1 || r.Iter != 42 {
 		t.Errorf("request = %+v", r)
 	}
 }
@@ -243,6 +246,12 @@ func TestMergeOpen(t *testing.T) {
 	}
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	// Neither input names files, so neither does the merge.
+	for i, e := range m.Events {
+		if name := m.FileName(e.Req.File); name != "" {
+			t.Errorf("event %d names file %q", i, name)
+		}
 	}
 	// Disk overflow rejected.
 	if _, err := MergeOpen(2, a, b); err == nil {

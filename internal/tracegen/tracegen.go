@@ -14,6 +14,8 @@ package tracegen
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"sdpm/internal/access"
 	"sdpm/internal/cache"
@@ -28,21 +30,24 @@ import (
 const DefaultCacheUnits = 64
 
 // Site is one I/O request site: a buffer cache miss, located in the
-// program's iteration space and on the disk subsystem.
+// program's iteration space and on the disk subsystem. A Site holds
+// no pointers, and its fields are ordered to pack it into 64 bytes.
 type Site struct {
 	// Nest and Iter locate the request in iteration space.
 	Nest int
 	Iter int64
-	// File, Unit, Disk, Block, Bytes, Kind describe the access.
-	File  string
+	// Unit, Disk, Block, Bytes, with File and Kind, describe the
+	// access.
 	Unit  int64
 	Disk  int
 	Block int64
 	Bytes int64
-	Kind  trace.ReqKind
 	// CyclePos is the cumulative compute-cycle position of the
 	// issuing iteration from program start.
 	CyclePos int64
+	// File is the file id on the subsystem (an index into its Files).
+	File int32
+	Kind trace.ReqKind
 }
 
 // Sites runs the access-pattern walker through the buffer cache model
@@ -63,17 +68,33 @@ func SitesNoCache(p *ir.Program, sub *layout.Subsystem) ([]Site, error) {
 }
 
 func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error) {
-	// Cumulative cycle base of each nest.
+	// Cumulative cycle base and per-iteration cost of each nest.
 	base := make([]int64, len(p.Nests))
+	iterCost := make([]int64, len(p.Nests))
 	var cum int64
 	for i, n := range p.Nests {
 		base[i] = cum
+		iterCost[i] = n.IterCost()
 		cum += n.TotalCost()
 	}
 	bc := cache.New(cacheUnits)
-	var out []Site
+	// The site count is known only at the end of the walk, so sites
+	// collect in a pooled scratch slice and are copied out at their
+	// exact size: one allocation of the result instead of the ~5x its
+	// size that append's 1.25x growth of large slices would allocate
+	// and zero.
+	scratch := siteScratch.Get().(*[]Site)
+	out := (*scratch)[:0]
+	defer func() {
+		*scratch = out[:0]
+		siteScratch.Put(scratch)
+	}()
 	err := access.Walk(p, sub, func(t access.Touch) error {
-		if bc.Touch(cache.Key{File: t.File, Unit: t.Unit}) {
+		k, err := sub.UnitKey(t.File, t.Unit)
+		if err != nil {
+			return err
+		}
+		if bc.Touch(cache.Key(k)) {
 			return nil
 		}
 		ext, err := sub.MapUnit(t.File, t.Unit)
@@ -89,15 +110,18 @@ func sites(p *ir.Program, sub *layout.Subsystem, cacheUnits int) ([]Site, error)
 			File: t.File, Unit: t.Unit,
 			Disk: ext.Disk, Block: ext.Block, Bytes: ext.Bytes,
 			Kind:     kind,
-			CyclePos: base[t.Nest] + t.Iter*p.Nests[t.Nest].IterCost(),
+			CyclePos: base[t.Nest] + t.Iter*iterCost[t.Nest],
 		})
 		return nil
 	})
-	if err != nil {
+	if err != nil || len(out) == 0 {
 		return nil, err
 	}
-	return out, nil
+	return slices.Clone(out), nil
 }
+
+// siteScratch pools the growth buffers of sites.
+var siteScratch = sync.Pool{New: func() any { return new([]Site) }}
 
 // Options configures trace generation.
 type Options struct {
@@ -136,13 +160,15 @@ func Generate(p *ir.Program, sub *layout.Subsystem, opts Options) (*trace.Trace,
 	if err != nil {
 		return nil, err
 	}
-	return FromSites(p.Name, sub.NumDisks(), ss, opts), nil
+	return FromSites(p.Name, sub.Files(), sub.NumDisks(), ss, opts), nil
 }
 
-// FromSites assembles a trace from precomputed request sites.
-func FromSites(program string, numDisks int, ss []Site, opts Options) *trace.Trace {
+// FromSites assembles a trace from precomputed request sites. files is
+// the subsystem's file name table the sites' file ids index; the trace
+// shares it.
+func FromSites(program string, files []string, numDisks int, ss []Site, opts Options) *trace.Trace {
 	m := opts.model()
-	tr := &trace.Trace{Program: program, NumDisks: numDisks}
+	tr := &trace.Trace{Program: program, NumDisks: numDisks, Files: files}
 	tr.Events = make([]trace.Event, 0, len(ss))
 	var prevCycles int64
 	var arrival float64

@@ -3,6 +3,7 @@ package tracegen
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"sdpm/internal/access"
 	"sdpm/internal/cycles"
@@ -245,11 +246,13 @@ func TestWriteKindPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reads, writes int
+	uID, _ := sub.FileID("u")
+	vID, _ := sub.FileID("v")
 	for _, s := range ss {
 		switch {
-		case s.File == "u" && s.Kind == trace.Read:
+		case s.File == uID && s.Kind == trace.Read:
 			reads++
-		case s.File == "v" && s.Kind == trace.Write:
+		case s.File == vID && s.Kind == trace.Write:
 			writes++
 		default:
 			t.Fatalf("unexpected site %+v", s)
@@ -257,5 +260,12 @@ func TestWriteKindPropagates(t *testing.T) {
 	}
 	if reads != 4 || writes != 4 {
 		t.Errorf("reads=%d writes=%d", reads, writes)
+	}
+}
+
+// TestSiteSize pins the pointer-free 64-byte Site layout.
+func TestSiteSize(t *testing.T) {
+	if n := unsafe.Sizeof(Site{}); n != 64 {
+		t.Errorf("sizeof(Site) = %d, want 64", n)
 	}
 }

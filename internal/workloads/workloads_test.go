@@ -26,7 +26,7 @@ func baseRun(t *testing.T, b *Benchmark) (*sim.Result, []tracegen.Site) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tracegen.FromSites(b.Name, DefaultDisks, sites, tracegen.Options{
+	tr := tracegen.FromSites(b.Name, sub.Files(), DefaultDisks, sites, tracegen.Options{
 		Model:            b.Model(),
 		NominalServiceMS: func(n int64) float64 { return p.ServiceTimeMS(p.MaxRPM, n) },
 	})
