@@ -137,6 +137,9 @@ func BenchmarkMispredictions(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		if len(base.Idles) != in.Cfg.NumDisks {
+			b.Fatalf("%s: Base run carries %d idle-period lists, want %d", in.Name, len(base.Idles), in.Cfg.NumDisks)
+		}
 		inputs = append(inputs, input{plan, base.Idles, in.Cfg.Disk})
 	}
 	b.ReportAllocs()

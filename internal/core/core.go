@@ -183,6 +183,10 @@ func (c *Config) faultPlan() (*faults.Plan, error) {
 // state (the disk state machine, the policy) is freshly allocated
 // inside sim.Run, so any number of schemes can be simulated on one
 // Instance at once.
+//
+// Unobserved runs (no Obs, no Events) are memoized on the trace stage
+// by scheme and run-only settings, so a run repeated on this instance
+// or on any other viewing the same stage simulates once; see Run.
 type Instance struct {
 	Name    string
 	Program *ir.Program
@@ -290,8 +294,30 @@ func (in *Instance) Compiled(tr *trace.Trace) *trace.Compiled {
 	return in.stages.compile(tr)
 }
 
-// Run simulates the instance under the given scheme.
+// Run simulates the instance under the given scheme. A Base result
+// carries the run's idle periods (Result.Idles, read by the Table 3
+// oracle); other schemes' results do not.
+//
+// Without a collector or event log attached, the result is memoized
+// on the instance's trace stage: a repeated run returns the first
+// run's stats, which are shared and must be treated as read-only,
+// under a Result header of its own (Program, Scheme). Observed runs
+// simulate on every call, so each one is counted and logged.
 func (in *Instance) Run(s Scheme) (*sim.Result, error) {
+	if in.Obs != nil || in.Events != nil {
+		return in.simulate(s)
+	}
+	shared, err := in.stages.run(keyRun(s, &in.Cfg), func() (*sim.Result, error) { return in.simulate(s) })
+	if err != nil {
+		return nil, err
+	}
+	res := *shared
+	res.Program, res.Scheme = in.Name, string(s)
+	return &res, nil
+}
+
+// simulate runs the instance under scheme s.
+func (in *Instance) simulate(s Scheme) (*sim.Result, error) {
 	tr, cfg, err := in.runInput(s)
 	if err != nil {
 		return nil, err
@@ -322,6 +348,7 @@ func (in *Instance) runInput(s Scheme) (*trace.Trace, sim.Config, error) {
 	switch s {
 	case Base:
 		cfg.Policy = policy.NewBase()
+		cfg.RecordIdles = true
 	case TPM:
 		cfg.Policy = policy.NewTPM(in.Cfg.Disk, 0)
 	case ITPM:

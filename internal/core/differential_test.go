@@ -20,43 +20,51 @@ import (
 // collector expositions byte for byte, and event logs event for event
 // once the batched path's bail-out records (which the general path
 // has no occasion to emit) and the seqs they shift are set aside.
+// The workloads run as parallel subtests.
 func TestWorkloadBatchDifferential(t *testing.T) {
 	light, err := faults.ParseSpec("light")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range workloads.Names() {
-		b, err := workloads.ByName(name)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			checkWorkloadBatchDifferential(t, name, light)
+		})
+	}
+}
+
+func checkWorkloadBatchDifferential(t *testing.T, name string, light faults.Config) {
+	b, err := workloads.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fc := range []faults.Config{{}, light} {
+		cfg := DefaultConfig()
+		cfg.Model = b.Model()
+		cfg.CacheUnits = b.CacheUnits
+		cfg.Faults = fc
+		cfg.FaultSeed = 1
+		in, err := Prepare(name, b.Program, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, fc := range []faults.Config{{}, light} {
-			cfg := DefaultConfig()
-			cfg.Model = b.Model()
-			cfg.CacheUnits = b.CacheUnits
-			cfg.Faults = fc
-			cfg.FaultSeed = 1
-			in, err := Prepare(name, b.Program, cfg, nil)
-			if err != nil {
-				t.Fatal(err)
+		for _, s := range AllSchemes() {
+			batched := diffRun(t, in, s, false)
+			general := diffRun(t, in, s, true)
+			where := name + "/" + string(s)
+			if fc != (faults.Config{}) {
+				where += "/light"
 			}
-			for _, s := range AllSchemes() {
-				batched := diffRun(t, in, s, false)
-				general := diffRun(t, in, s, true)
-				where := name + "/" + string(s)
-				if fc != (faults.Config{}) {
-					where += "/light"
-				}
-				if !reflect.DeepEqual(batched.res, general.res) {
-					t.Errorf("%s: results differ: ExecMS %v vs %v, EnergyJ %v vs %v", where,
-						batched.res.ExecMS, general.res.ExecMS, batched.res.EnergyJ, general.res.EnergyJ)
-				}
-				if batched.metrics != general.metrics {
-					t.Errorf("%s: collector metrics differ", where)
-				}
-				if !reflect.DeepEqual(batched.events, general.events) {
-					t.Errorf("%s: event logs differ (%d vs %d events)", where, len(batched.events), len(general.events))
-				}
+			if !reflect.DeepEqual(batched.res, general.res) {
+				t.Errorf("%s: results differ: ExecMS %v vs %v, EnergyJ %v vs %v", where,
+					batched.res.ExecMS, general.res.ExecMS, batched.res.EnergyJ, general.res.EnergyJ)
+			}
+			if batched.metrics != general.metrics {
+				t.Errorf("%s: collector metrics differ", where)
+			}
+			if !reflect.DeepEqual(batched.events, general.events) {
+				t.Errorf("%s: event logs differ (%d vs %d events)", where, len(batched.events), len(general.events))
 			}
 		}
 	}

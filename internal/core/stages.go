@@ -8,9 +8,11 @@ import (
 
 	"sdpm/internal/cycles"
 	"sdpm/internal/disk"
+	"sdpm/internal/faults"
 	"sdpm/internal/insert"
 	"sdpm/internal/ir"
 	"sdpm/internal/layout"
+	"sdpm/internal/sim"
 	"sdpm/internal/trace"
 	"sdpm/internal/tracegen"
 )
@@ -28,7 +30,10 @@ import (
 //
 // Everything else in a Config (the instance name, PowerCallOverheadMS,
 // DistanceAwareSeek, Faults, FaultSeed, Audit) only the simulator
-// reads; an Instance carries it as a named view over the stages.
+// reads; an Instance carries it as a named view over the stages. A
+// trace stage also memoizes the results of unobserved simulation runs
+// (Instance.Run), keyed by the scheme and those run-only fields, so
+// each distinct run over a stage simulates once.
 
 // sitesKey identifies a sites stage's inputs.
 type sitesKey struct {
@@ -58,6 +63,25 @@ func keySites(p *ir.Program, cfg *Config, overrides map[string]layout.Striping) 
 
 func keyTrace(sk sitesKey, cfg *Config) traceKey {
 	return traceKey{sites: sk, disk: cfg.Disk, model: *cfg.model(), noPre: cfg.DisablePreactivation}
+}
+
+// runKey identifies a simulation run over a trace stage: the scheme
+// and every Config field only the simulator reads. The instance name
+// is not in it; each caller stamps its own on the result.
+type runKey struct {
+	scheme    Scheme
+	tm        float64 // PowerCallOverheadMS
+	distSeek  bool
+	faults    faults.Config
+	faultSeed int64
+	audit     bool
+}
+
+func keyRun(s Scheme, cfg *Config) runKey {
+	return runKey{
+		scheme: s, tm: cfg.PowerCallOverheadMS, distSeek: cfg.DistanceAwareSeek,
+		faults: cfg.Faults, faultSeed: cfg.FaultSeed, audit: cfg.Audit,
+	}
 }
 
 // overridesKey renders layout overrides canonically (sorted by array).
@@ -141,6 +165,15 @@ type traceStage struct {
 	base     *trace.Trace
 	instr    map[insert.Mode]*instrumented
 	compiled []*trace.Compiled
+	runs     map[runKey]*runEntry
+}
+
+// runEntry memoizes one successful simulation run. Its result is
+// shared read-only: callers get a copy of the header over its stats.
+type runEntry struct {
+	once sync.Once
+	res  *sim.Result
+	err  error
 }
 
 type instrumented struct {
@@ -153,7 +186,38 @@ func newTraceStage(ss *siteStage, cfg *Config) *traceStage {
 		siteStage: ss, numDisks: cfg.NumDisks, disk: cfg.Disk,
 		model: cfg.model(), noPre: cfg.DisablePreactivation,
 		instr: make(map[insert.Mode]*instrumented),
+		runs:  make(map[runKey]*runEntry),
 	}
+}
+
+// run returns the memoized result of the run k, calling simulate on
+// the first request (concurrent requests wait for it). Failures are
+// not memoized: the entry is dropped, and a caller that waited on a
+// failed run simulates for itself, so every caller sees its own error.
+func (s *traceStage) run(k runKey, simulate func() (*sim.Result, error)) (*sim.Result, error) {
+	s.mu.Lock()
+	e, ok := s.runs[k]
+	if !ok {
+		e = &runEntry{}
+		s.runs[k] = e
+	}
+	s.mu.Unlock()
+	ran := false
+	e.once.Do(func() {
+		ran = true
+		defer func() {
+			if e.res == nil { // failed or panicked
+				s.mu.Lock()
+				delete(s.runs, k)
+				s.mu.Unlock()
+			}
+		}()
+		e.res, e.err = simulate()
+	})
+	if e.res == nil && !ran {
+		return simulate()
+	}
+	return e.res, e.err
 }
 
 // baseTrace returns the uninstrumented runtime trace.
@@ -161,10 +225,10 @@ func (s *traceStage) baseTrace() *trace.Trace {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.base == nil {
-		p := s.disk
+		tbl, maxRPM := disk.TableFor(s.disk), s.disk.MaxRPM
 		s.base = tracegen.FromSites("", s.sub.Files(), s.numDisks, s.sites, tracegen.Options{
 			Model:            s.model,
-			NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
+			NominalServiceMS: func(b int64) float64 { return tbl.ServiceTimeMS(maxRPM, b) },
 		})
 	}
 	return s.base

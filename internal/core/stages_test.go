@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,18 +15,19 @@ import (
 	"sdpm/internal/workloads"
 )
 
-// Stage names for the key-sufficiency test.
+// Key classes for the key-sufficiency test.
 const (
 	stSites = "sites"
 	stTrace = "trace"
-	stRun   = "run" // read by the simulator only; keys no stage
+	stRun   = "run" // read by the simulator only; keys the run memo, no stage
 )
 
-// configFieldStage records, for every Config field, the first stage
-// whose key covers it (a field in the sites key is in the trace key
-// too). A Config field missing here fails TestStageKeysSufficient: a
-// new field has to be placed in a key, or shown to be run-only, before
-// the memo may share stages across it.
+// configFieldStage records, for every Config field, the first key
+// that covers it: a field in the sites key is in the trace key too,
+// and the run memo lives on a trace stage, so a stage field keys the
+// memoized runs as well. A Config field missing here fails
+// TestStageKeysSufficient: a new field has to be placed in a key
+// before the memo may share stages or runs across it.
 var configFieldStage = map[string]string{
 	"Disk":                 stTrace,
 	"NumDisks":             stSites,
@@ -193,7 +195,8 @@ func buildStages(p *ir.Program, cfg Config, withTraces bool) (*stageOutputs, err
 // output, bit for bit. Every top-level field must be classified in
 // configFieldStage, and the classification must hold: a sites field
 // changes the sites key, a trace field the trace key, and a run-only
-// field neither.
+// field neither stage key but the run key. The base configuration
+// injects faults, so every fault field is live.
 func TestStageKeysSufficient(t *testing.T) {
 	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
 		if _, ok := configFieldStage[f.Name]; !ok {
@@ -219,6 +222,7 @@ func TestStageKeysSufficient(t *testing.T) {
 	}
 	sk0 := keySites(b.Program, &base, nil)
 	tk0 := keyTrace(sk0, &base)
+	rk0 := keyRun(CMDRPM, &base)
 
 	for _, l := range configLeaves(t) {
 		stage := configFieldStage[l.top]
@@ -249,6 +253,8 @@ func TestStageKeysSufficient(t *testing.T) {
 			t.Errorf("%s: declared a trace input, but perturbing it leaves the trace key unchanged", l.name)
 		case stage == stRun && (sk != sk0 || tk != tk0):
 			t.Errorf("%s: declared run-only, but perturbing it changes a stage key", l.name)
+		case stage == stRun && keyRun(CMDRPM, &cfg) == rk0:
+			t.Errorf("%s: declared run-only, but perturbing it leaves the run key unchanged", l.name)
 		}
 		if sk == sk0 && (!reflect.DeepEqual(got.sites, want.sites) || !reflect.DeepEqual(got.files, want.files)) {
 			t.Errorf("%s: sites key unchanged but the sites differ: the sites key misses an input", l.name)
@@ -264,16 +270,6 @@ func TestStageKeysSufficient(t *testing.T) {
 			}
 		}
 	}
-}
-
-// encodeTrace returns tr's interchange encoding.
-func encodeTrace(t *testing.T, tr *trace.Trace) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := tr.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 // instanceTraces returns the base, TPM and DRPM traces of in.
@@ -296,8 +292,9 @@ func instanceTraces(t *testing.T, in *Instance) []*trace.Trace {
 // leaves unchanged share the original's stages under another name.
 // Each cached instance must be indistinguishable from a fresh
 // core.PrepareVersion: bit-identical results for all seven schemes,
-// identical trace encodings (program header included), and event-log
-// labels carrying its own name.
+// identical traces (program header, file table and every event, so
+// identical encodings), and event-log labels carrying its own name. The workloads run as parallel
+// subtests; each reads its log once, after all its versions ran.
 func TestSharedStagesUnobservable(t *testing.T) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -327,6 +324,12 @@ func checkSharedStagesUnobservable(t *testing.T, name string) {
 		}
 	}
 	shared := 0
+	// logged[i] is the span of the log version i's runs filled.
+	type span struct {
+		name       string
+		start, end int
+	}
+	var logged []span
 	for _, v := range ExtendedVersions() {
 		cached, _, err := c.PrepareVersion(b.Name, b.Program, v, cfg)
 		if err != nil {
@@ -340,12 +343,17 @@ func checkSharedStagesUnobservable(t *testing.T, name string) {
 		if cached.stages == orig.stages {
 			shared++
 		}
+		freshTraces := instanceTraces(t, fresh)
 		for i, tr := range instanceTraces(t, cached) {
 			if tr.Program != cached.Name {
 				t.Errorf("%s: trace %d is named %q", where, i, tr.Program)
 			}
-			if want := encodeTrace(t, instanceTraces(t, fresh)[i]); !bytes.Equal(encodeTrace(t, tr), want) {
-				t.Errorf("%s: trace %d encodes differently from a fresh preparation", where, i)
+			// Every field Encode reads, compared exactly: the traces
+			// are equal, so their encodings are too.
+			ft := freshTraces[i]
+			if tr.Program != ft.Program || tr.NumDisks != ft.NumDisks ||
+				!slices.Equal(tr.Files, ft.Files) || !slices.Equal(tr.Events, ft.Events) {
+				t.Errorf("%s: trace %d differs from a fresh preparation's", where, i)
 			}
 		}
 		before := c.Events.Len()
@@ -362,13 +370,19 @@ func checkSharedStagesUnobservable(t *testing.T, name string) {
 				t.Errorf("%s/%s: cached result differs from a fresh preparation", where, s)
 			}
 		}
-		evs := c.Events.Events()
-		if len(evs) == before {
-			t.Fatalf("%s: runs logged no events", where)
+		logged = append(logged, span{where, before, c.Events.Len()})
+	}
+	if c.Events.Dropped() > 0 {
+		t.Fatalf("%s: the event log dropped %d events; enlarge it", name, c.Events.Dropped())
+	}
+	evs := c.Events.Events()
+	for _, sp := range logged {
+		if sp.end == sp.start {
+			t.Fatalf("%s: runs logged no events", sp.name)
 		}
-		for _, ev := range evs[before:] {
-			if ev.Program != cached.Name {
-				t.Fatalf("%s: event labelled with program %q", where, ev.Program)
+		for _, ev := range evs[sp.start:sp.end] {
+			if ev.Program != sp.name {
+				t.Fatalf("%s: event labelled with program %q", sp.name, ev.Program)
 			}
 		}
 	}

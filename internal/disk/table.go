@@ -85,18 +85,45 @@ func newTable(p Params) *Table {
 	return t
 }
 
-// idx returns the level index of rpm, or -1 when rpm is not an exact
-// level (or the table is degenerate).
-func (t *Table) idx(rpm int) int {
+// LevelIndex is Params.LevelIndex without copying the Params: the
+// index of rpm within the levels, or -1 when rpm is not an exact level
+// (or the table is degenerate).
+func (t *Table) LevelIndex(rpm int) int {
 	if t.n == 0 || rpm < t.P.MinRPM || rpm > t.P.MaxRPM || (rpm-t.P.MinRPM)%t.P.RPMStep != 0 {
 		return -1
 	}
 	return (rpm - t.P.MinRPM) / t.P.RPMStep
 }
 
+// ClampLevel is Params.ClampLevel without copying the Params.
+func (t *Table) ClampLevel(rpm int) int {
+	if rpm >= t.P.MaxRPM {
+		return t.P.MaxRPM
+	}
+	if rpm <= t.P.MinRPM {
+		return t.P.MinRPM
+	}
+	return t.P.MinRPM + (rpm-t.P.MinRPM)/t.P.RPMStep*t.P.RPMStep
+}
+
+// TransitionTimeMS is Params.TransitionTimeMS without copying the
+// Params (same arithmetic, same bits).
+func (t *Table) TransitionTimeMS(from, to int) float64 {
+	d := from - to
+	if d < 0 {
+		d = -d
+	}
+	return float64(d) / float64(t.P.RPMStep) * t.P.RPMStepTimeMS
+}
+
+// IdleEnergyJ is Params.IdleEnergyJ without copying the Params.
+func (t *Table) IdleEnergyJ(idleMS float64) float64 {
+	return t.P.IdleW * idleMS / 1e3
+}
+
 // IdlePowerAt is Params.IdlePowerAt served from the table.
 func (t *Table) IdlePowerAt(rpm int) float64 {
-	if i := t.idx(rpm); i >= 0 {
+	if i := t.LevelIndex(rpm); i >= 0 {
 		return t.idleW[i]
 	}
 	return t.P.IdlePowerAt(rpm)
@@ -104,7 +131,7 @@ func (t *Table) IdlePowerAt(rpm int) float64 {
 
 // ActivePowerAt is Params.ActivePowerAt served from the table.
 func (t *Table) ActivePowerAt(rpm int) float64 {
-	if i := t.idx(rpm); i >= 0 {
+	if i := t.LevelIndex(rpm); i >= 0 {
 		return t.activeW[i]
 	}
 	return t.P.ActivePowerAt(rpm)
@@ -120,7 +147,7 @@ func (t *Table) ServiceTimeMS(rpm int, bytes int64) float64 {
 // level are cached, the seek and per-request transfer arithmetic
 // keep the original evaluation order.
 func (t *Table) ServiceTimeSeekMS(rpm int, bytes int64, seekMS float64) float64 {
-	i := t.idx(rpm)
+	i := t.LevelIndex(rpm)
 	if i < 0 {
 		return t.P.ServiceTimeSeekMS(rpm, bytes, seekMS)
 	}
@@ -129,7 +156,7 @@ func (t *Table) ServiceTimeSeekMS(rpm int, bytes int64, seekMS float64) float64 
 
 // TransferTimeMS is Params.TransferTimeMS served from the table.
 func (t *Table) TransferTimeMS(rpm int, bytes int64) float64 {
-	i := t.idx(rpm)
+	i := t.LevelIndex(rpm)
 	if i < 0 {
 		return t.P.TransferTimeMS(rpm, bytes)
 	}
@@ -139,7 +166,7 @@ func (t *Table) TransferTimeMS(rpm int, bytes int64) float64 {
 // TransitionEnergyJ is Params.TransitionEnergyJ served from the
 // precomputed pair table.
 func (t *Table) TransitionEnergyJ(from, to int) float64 {
-	i, j := t.idx(from), t.idx(to)
+	i, j := t.LevelIndex(from), t.LevelIndex(to)
 	if i < 0 || j < 0 {
 		return t.P.TransitionEnergyJ(from, to)
 	}
@@ -151,7 +178,7 @@ func (t *Table) TransitionEnergyJ(from, to int) float64 {
 // arithmetic in the original order.
 func (t *Table) dipByIndex(idleMS float64, i int) float64 {
 	if t.levels[i] == t.P.MaxRPM {
-		return t.P.IdleEnergyJ(idleMS)
+		return t.IdleEnergyJ(idleMS)
 	}
 	down := t.transMS[i]
 	if down+down > idleMS {
@@ -163,7 +190,7 @@ func (t *Table) dipByIndex(idleMS float64, i int) float64 {
 
 // DipEnergyJ is Params.DipEnergyJ served from the table.
 func (t *Table) DipEnergyJ(idleMS float64, rpm int) float64 {
-	i := t.idx(rpm)
+	i := t.LevelIndex(rpm)
 	if i < 0 {
 		return t.P.DipEnergyJ(idleMS, rpm)
 	}
@@ -178,7 +205,7 @@ func (t *Table) BestRPMForIdle(idleMS float64) (int, float64) {
 		return t.P.BestRPMForIdle(idleMS)
 	}
 	best := t.P.MaxRPM
-	bestE := t.P.IdleEnergyJ(idleMS)
+	bestE := t.IdleEnergyJ(idleMS)
 	for i := 0; i < t.n; i++ {
 		if e := t.dipByIndex(idleMS, i); e < bestE {
 			bestE = e
@@ -195,7 +222,7 @@ func (t *Table) BestRPMForTrailingIdle(idleMS float64) (int, float64) {
 		return t.P.BestRPMForTrailingIdle(idleMS)
 	}
 	best := t.P.MaxRPM
-	bestE := t.P.IdleEnergyJ(idleMS)
+	bestE := t.IdleEnergyJ(idleMS)
 	for i := 0; i < t.n; i++ {
 		tr := t.transMS[i]
 		if tr > idleMS {

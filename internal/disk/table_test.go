@@ -53,9 +53,21 @@ func TestTableBitwiseIdentical(t *testing.T) {
 			}
 			for _, r2 := range levels {
 				eq(t, "TransitionEnergyJ", p.TransitionEnergyJ(r, r2), tbl.TransitionEnergyJ(r, r2))
+				eq(t, "TransitionTimeMS", p.TransitionTimeMS(r, r2), tbl.TransitionTimeMS(r, r2))
 			}
 			for _, idle := range idles {
 				eq(t, "DipEnergyJ", p.DipEnergyJ(idle, r), tbl.DipEnergyJ(idle, r))
+			}
+		}
+		for _, idle := range idles {
+			eq(t, "IdleEnergyJ", p.IdleEnergyJ(idle), tbl.IdleEnergyJ(idle))
+		}
+		for r := p.MinRPM - 2*p.RPMStep; r <= p.MaxRPM+2*p.RPMStep; r += p.RPMStep / 4 {
+			if got, want := tbl.LevelIndex(r), p.LevelIndex(r); got != want {
+				t.Errorf("LevelIndex(%d) = %d, want %d", r, got, want)
+			}
+			if got, want := tbl.ClampLevel(r), p.ClampLevel(r); got != want {
+				t.Errorf("ClampLevel(%d) = %d, want %d", r, got, want)
 			}
 		}
 		for _, idle := range idles {

@@ -31,7 +31,7 @@ func runBase(t *testing.T, ss []tracegen.Site, nd int, m *cycles.Model, p disk.P
 		Model:            m,
 		NominalServiceMS: func(b int64) float64 { return p.ServiceTimeMS(p.MaxRPM, b) },
 	})
-	res, err := sim.Run(bt, sim.Config{Disk: p})
+	res, err := sim.Run(bt, sim.Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)
 	}

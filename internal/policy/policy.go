@@ -307,8 +307,9 @@ func (r *DRPM) Finish(m *sim.Machine, endT float64) {
 // returning to full speed exactly in time for the next request.
 type IDRPM struct {
 	p disk.Params
-	// tbl serves the per-idle-period best-RPM scans from the memoized
-	// power table (bit-identical to the Params methods).
+	// tbl serves the per-idle-period best-RPM scans and transition
+	// times from the memoized power table (bit-identical to the Params
+	// methods).
 	tbl *disk.Table
 }
 
@@ -331,7 +332,7 @@ func (r *IDRPM) BeforeService(m *sim.Machine, d int, now float64) {
 	idle := now - start
 	if rpm, _ := r.tbl.BestRPMForIdle(idle); rpm != r.p.MaxRPM {
 		m.SetRPMAt(d, start, rpm)
-		m.SetRPMAt(d, now-r.p.TransitionTimeMS(rpm, r.p.MaxRPM), r.p.MaxRPM)
+		m.SetRPMAt(d, now-r.tbl.TransitionTimeMS(rpm, r.p.MaxRPM), r.p.MaxRPM)
 	}
 }
 

@@ -66,7 +66,7 @@ func (c *batchEntry) refresh(m *Machine, rpm int, bytes int64) {
 	c.pwAct = m.tbl.ActivePowerAt(rpm)
 	c.svc = m.tbl.ServiceTimeSeekMS(rpm, bytes, m.p.AvgSeekMS)
 	c.addActJ = c.pwAct * c.svc / 1e3
-	c.residIdx = m.p.LevelIndex(rpm)
+	c.residIdx = m.tbl.LevelIndex(rpm)
 	c.idleLen = -1 // unmatchable: idle memo invalid for new rpm
 }
 
@@ -118,13 +118,13 @@ const (
 // Every configuration takes this one loop. What varies is decided
 // once per call: guarded runs (a fault plan or a policy horizon)
 // check each request out of line before servicing it, and hooked
-// runs (a collector, an event log, a timeline or a per-request
-// AfterService) observe each serviced request in one block after its
-// arithmetic.
+// runs (a collector, an event log, a timeline, idle-period recording
+// or a per-request AfterService) observe each serviced request in one
+// block after its arithmetic.
 func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock float64, hz Horizon, pol Policy) (int, float64) {
 	sc := m.batchScratchFor(len(m.disks))
 	guarded := m.faults != nil || hz.NoOpBefore != nil
-	hooked := m.obs != nil || m.ev != nil || m.recTimeline || hz.AfterPerRequest
+	hooked := m.obs != nil || m.ev != nil || m.recTimeline || m.recIdles || hz.AfterPerRequest
 	hi := run.End
 	// Runs compiled as uniform let the loop skip the per-event gap,
 	// size and disk loads (the branches predict perfectly either way).
@@ -167,7 +167,6 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		}
 		from := s.idleFrom
 		idleLen := t - from
-		s.idles = append(s.idles, IdlePeriod{StartMS: from, LenMS: idleLen})
 		if idleLen > 0 {
 			// Machine.advance's StSpinning branch for [accT, t].
 			e := c.idleE
@@ -194,8 +193,12 @@ func (m *Machine) serviceRun(events []trace.Event, i int, run *trace.Run, clock 
 		i++
 		if hooked {
 			// What the general path reports for the same request, in
-			// its order: the idle span advance committed, then the
-			// service ServiceBlock performed.
+			// its order: the idle period ServiceBlock recorded, the
+			// idle span advance committed, then the service
+			// ServiceBlock performed.
+			if m.recIdles {
+				s.idles = append(s.idles, IdlePeriod{StartMS: from, LenMS: idleLen})
+			}
 			if idleLen > 0 {
 				s.record(m.recTimeline, from, t, StSpinning, s.rpm, c.pwIdle, false)
 				if m.obs != nil {

@@ -245,3 +245,85 @@ func TestCompiledForOtherTrace(t *testing.T) {
 		})
 	}
 }
+
+// TestRecordIdlesUnobservable checks that idle-period recording is
+// opt-in and changes nothing else: on random traces under every
+// policy, with and without faults, batched and general, closed and
+// open loop, a run with RecordIdles set returns the result of the
+// same run without it plus the idle periods, and the batched path
+// records exactly the general path's periods: one per request on each
+// disk plus the trailing one.
+func TestRecordIdlesUnobservable(t *testing.T) {
+	p := disk.DefaultParams()
+	moderate, err := faults.ParseSpec("moderate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	policies := []string{"none", "base", "tpm", "itpm", "drpm", "idrpm"}
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		nDisks := 1 + r.Intn(4)
+		tr := randomBatchTrace(r, nDisks)
+		comp := trace.Compile(tr)
+		perDisk := tr.PerDiskRequests()
+		for _, pol := range policies {
+			for _, withFaults := range []bool{false, true} {
+				var recorded [][]sim.IdlePeriod
+				for _, mode := range []string{"batched", "general", "open"} {
+					where := fmt.Sprintf("seed%d/%s/faults=%t/%s", seed, pol, withFaults, mode)
+					cfg := sim.Config{Disk: p, PowerCallOverheadMS: sim.DefaultPowerCallOverheadMS, Audit: seed%2 == 0}
+					if withFaults {
+						if cfg.Faults, err = faults.New(seed, nDisks, moderate); err != nil {
+							t.Fatal(err)
+						}
+					}
+					run := func(record bool) *sim.Result {
+						c := cfg
+						c.Policy = diffPolicy(pol, p, nDisks)
+						c.RecordIdles = record
+						var res *sim.Result
+						var err error
+						switch mode {
+						case "batched":
+							c.Compiled = comp
+							res, err = sim.Run(tr, c)
+						case "general":
+							c.DisableBatch = true
+							res, err = sim.Run(tr, c)
+						default:
+							res, err = sim.RunOpenLoop(tr, c)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
+						}
+						return res
+					}
+					off, on := run(false), run(true)
+					if off.Idles != nil {
+						t.Errorf("%s: idle periods returned without RecordIdles", where)
+					}
+					if len(on.Idles) != nDisks {
+						t.Fatalf("%s: %d idle-period lists, want %d", where, len(on.Idles), nDisks)
+					}
+					for d, idles := range on.Idles {
+						if len(idles) != perDisk[d]+1 {
+							t.Errorf("%s: disk %d has %d idle periods, want %d", where, d, len(idles), perDisk[d]+1)
+						}
+					}
+					switch mode {
+					case "batched":
+						recorded = on.Idles
+					case "general":
+						if !reflect.DeepEqual(on.Idles, recorded) {
+							t.Errorf("%s: batched and general paths record different idle periods", where)
+						}
+					}
+					on.Idles = nil
+					if !reflect.DeepEqual(on, off) {
+						t.Errorf("%s: RecordIdles changed the result", where)
+					}
+				}
+			}
+		}
+	}
+}

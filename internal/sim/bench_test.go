@@ -151,9 +151,11 @@ func TestMachineResetReuse(t *testing.T) {
 		return m.Finish(end + 400)
 	}
 	fresh := sim.NewMachine(2, p)
+	fresh.EnableIdles()
 	wantStats, wantIdles := run(fresh)
 
 	reused := sim.NewMachine(2, p)
+	reused.EnableIdles()
 	run(reused)
 	reused.Reset()
 	gotStats, gotIdles := run(reused)

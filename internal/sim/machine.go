@@ -96,8 +96,8 @@ type DiskStats struct {
 // whole machine, allocated once); the map in DiskStats is only
 // materialized at Finish. The overflow map handles RPMs outside the
 // disk's level grid, which no current caller produces.
-func (s *dstate) addResidency(p *disk.Params, rpm int, ms float64) {
-	if idx := p.LevelIndex(rpm); idx >= 0 {
+func (s *dstate) addResidency(t *disk.Table, rpm int, ms float64) {
+	if idx := t.LevelIndex(rpm); idx >= 0 {
 		s.resid[idx] += ms
 		return
 	}
@@ -175,8 +175,9 @@ type Machine struct {
 	distSeek  bool
 	maxBlocks int64
 	headPos   []int64
-	// timeline recording (disabled by default).
+	// timeline and idle-period recording (disabled by default).
 	recTimeline bool
+	recIdles    bool
 	// obs is the run's tally on the metrics collector (see
 	// AttachCollector); nil costs one branch per emit point.
 	obs *obs.Tally
@@ -235,11 +236,11 @@ func NewMachine(n int, p disk.Params) *Machine {
 	return m
 }
 
-// ReserveIdles preallocates each disk's idle-period list for the
+// reserveIdles preallocates each disk's idle-period list for the
 // given per-disk request count (one idle period per request plus the
 // trailing one), eliminating append growth on the simulation hot
 // path. A single backing array serves all disks.
-func (m *Machine) ReserveIdles(perDisk []int) {
+func (m *Machine) reserveIdles(perDisk []int) {
 	total := 0
 	for d := range m.disks {
 		if d < len(perDisk) {
@@ -315,6 +316,10 @@ func (m *Machine) AccountedTo(d int) float64 { return m.disks[d].accT }
 // returned by Timelines after Finish.
 func (m *Machine) EnableTimeline() { m.recTimeline = true }
 
+// EnableIdles turns on idle-period recording; the periods are
+// returned by Finish. Without it Finish returns no idle periods.
+func (m *Machine) EnableIdles() { m.recIdles = true }
+
 // AttachCollector opens a tally on c (see obs.Collector.Begin) and
 // feeds it the machine's metric events (residency, request latencies,
 // power ops, spin-up mispredictions). A nil c detaches. The caller
@@ -351,7 +356,7 @@ func (m *Machine) advance(d int, t float64) {
 			s.stats.EnergyJ += pw * dt / 1e3
 			s.stats.IdleEnergyJ += pw * dt / 1e3
 			s.stats.IdleMS += dt
-			s.addResidency(&m.p, s.rpm, dt)
+			s.addResidency(m.tbl, s.rpm, dt)
 			s.record(m.recTimeline, s.accT, t, StSpinning, s.rpm, pw, false)
 			if m.obs != nil {
 				m.obs.ObserveResidency(d, obs.StateIdle, s.rpm, dt)
@@ -556,7 +561,7 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	if s.status == StStandby || s.status == StDown || s.status == StUp {
 		return
 	}
-	rpm = m.p.ClampLevel(rpm)
+	rpm = m.tbl.ClampLevel(rpm)
 	if s.rpm == rpm && s.status == StSpinning {
 		return
 	}
@@ -567,7 +572,7 @@ func (m *Machine) SetRPMAt(d int, t float64, rpm int) {
 	from := s.rpm
 	s.status = StShift
 	s.rpm = rpm
-	dur := m.p.TransitionTimeMS(from, rpm)
+	dur := m.tbl.TransitionTimeMS(from, rpm)
 	s.statusUntil = eff + dur
 	s.transPowerW = m.tbl.TransitionEnergyJ(from, rpm) / dur * 1e3
 	s.stats.RPMShifts++
@@ -597,7 +602,9 @@ func (m *Machine) Service(d int, t float64, bytes int64) (float64, error) {
 func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, error) {
 	s := &m.disks[d]
 	idleLen := t - s.idleFrom
-	s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+	if m.recIdles {
+		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: idleLen})
+	}
 	pre := s.status
 	start := m.effectiveAt(d, t)
 	if s.status == StStandby {
@@ -681,7 +688,7 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 	s.stats.EnergyJ += pw * svc / 1e3
 	s.stats.ActiveEnergyJ += pw * svc / 1e3
 	s.stats.ActiveMS += svc
-	s.addResidency(&m.p, s.rpm, svc)
+	s.addResidency(m.tbl, s.rpm, svc)
 	s.stats.Requests++
 	end := start + svc
 	if m.obs != nil {
@@ -724,22 +731,29 @@ func (m *Machine) ServiceBlock(d int, t float64, bytes, block int64) (float64, e
 }
 
 // Finish commits all disks' energy up to the program end time and
-// returns the per-disk statistics and idle-period records (including
-// the trailing idle period of each disk).
+// returns the per-disk statistics and, when EnableIdles was called,
+// the idle-period records (including the trailing idle period of
+// each disk; nil otherwise).
 func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 	stats := make([]DiskStats, len(m.disks))
-	idles := make([][]IdlePeriod, len(m.disks))
+	var idles [][]IdlePeriod
+	if m.recIdles {
+		idles = make([][]IdlePeriod, len(m.disks))
+	}
 	for d := range m.disks {
 		m.advance(d, endT)
 		s := &m.disks[d]
-		// The trailing idle period is always recorded (possibly with
-		// zero length) so idle-period lists align index-for-index
-		// with the compiler's per-gap plans.
 		trail := endT - s.idleFrom
 		if trail < 0 {
 			trail = 0
 		}
-		s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: trail})
+		if m.recIdles {
+			// The trailing idle period is always recorded (possibly
+			// with zero length) so idle-period lists align
+			// index-for-index with the compiler's per-gap plans.
+			s.idles = append(s.idles, IdlePeriod{StartMS: s.idleFrom, LenMS: trail})
+			idles[d] = s.idles
+		}
 		if m.ev != nil {
 			// Trailing-period decisions resolve against the trailing
 			// oracle (no spin-up back is ever needed).
@@ -768,7 +782,6 @@ func (m *Machine) Finish(endT float64) ([]DiskStats, [][]IdlePeriod) {
 			}
 		}
 		stats[d] = s.stats
-		idles[d] = s.idles
 	}
 	return stats, idles
 }

@@ -23,7 +23,9 @@ func RunOpenLoop(tr *trace.Trace, cfg Config) (*Result, error) {
 	}
 	defer m.obs.Commit()
 	defer m.ev.Commit()
-	m.ReserveIdles(tr.PerDiskRequests())
+	if m.recIdles {
+		m.reserveIdles(tr.PerDiskRequests())
+	}
 	// Requests are replayed in arrival order. Validate already
 	// guarantees arrivals are non-decreasing in event order, so the
 	// event walk below IS the arrival order.

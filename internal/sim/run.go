@@ -59,13 +59,19 @@ type Config struct {
 	// RecordTimeline collects per-disk state timelines into the
 	// result (Result.Timelines).
 	RecordTimeline bool
+	// RecordIdles collects every disk's inter-request idle periods,
+	// plus its trailing one, into the result (Result.Idles). The lists
+	// hold one entry per request, so they are off by default.
+	RecordIdles bool
 	// Audit verifies the conservation invariants of every run (see
 	// Audit): residency and energy-breakdown conservation, the
-	// timeline power integral, and state-machine transition legality.
-	// A violated invariant fails the run with a structured
-	// *AuditError instead of returning a plausible-but-wrong result.
-	// The audit records an internal timeline even when RecordTimeline
-	// is off (the result's Timelines field stays empty in that case).
+	// timeline power integral, idle-period sanity, and state-machine
+	// transition legality. A violated invariant fails the run with a
+	// structured *AuditError instead of returning a
+	// plausible-but-wrong result. The audit records an internal
+	// timeline and idle-period lists even when RecordTimeline and
+	// RecordIdles are off (the result's Timelines and Idles fields
+	// stay empty in that case).
 	Audit bool
 	// Obs, when non-nil, receives metric events (request latencies,
 	// residency, power ops, spin-up mispredictions). A nil Obs adds no
@@ -121,7 +127,7 @@ type Result struct {
 	// Disks holds per-disk statistics.
 	Disks []DiskStats
 	// Idles holds, per disk, every inter-request idle period plus
-	// the trailing idle period.
+	// the trailing idle period, when Config.RecordIdles was set.
 	Idles [][]IdlePeriod
 	// Requests is the number of I/O requests serviced.
 	Requests int
@@ -227,13 +233,15 @@ func Run(tr *trace.Trace, cfg Config) (*Result, error) {
 	if batching && comp == nil {
 		comp = trace.Compile(tr)
 	}
-	// Size the per-disk idle-period lists exactly (one idle period per
-	// request plus the trailing one) so the event walk never grows
-	// them.
-	if comp != nil {
-		m.ReserveIdles(comp.PerDisk)
-	} else {
-		m.ReserveIdles(tr.PerDiskRequests())
+	if m.recIdles {
+		// Size the per-disk idle-period lists exactly (one idle period
+		// per request plus the trailing one) so the event walk never
+		// grows them.
+		if comp != nil {
+			m.reserveIdles(comp.PerDisk)
+		} else {
+			m.reserveIdles(tr.PerDiskRequests())
+		}
 	}
 	e := runExec{m: m, tr: tr, cfg: &cfg}
 	i, ri := 0, 0
@@ -290,6 +298,10 @@ func startRun(tr *trace.Trace, cfg *Config, validated bool, suffix string) (*Mac
 		// transition-legality checks even when the caller did not ask
 		// to keep it.
 		m.EnableTimeline()
+	}
+	if cfg.RecordIdles || cfg.Audit {
+		// Likewise the idle periods for its idle-period check.
+		m.EnableIdles()
 	}
 	if cfg.Faults != nil {
 		if cfg.Faults.NumDisks() < tr.NumDisks {
@@ -350,6 +362,9 @@ func (m *Machine) result(tr *trace.Trace, cfg *Config, endT float64, powerOps in
 		}
 		if !cfg.RecordTimeline {
 			res.Timelines = nil
+		}
+		if !cfg.RecordIdles {
+			res.Idles = nil
 		}
 	}
 	return res, nil

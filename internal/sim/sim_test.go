@@ -241,7 +241,7 @@ func (*testOraclePolicy) Finish(*Machine, float64)                     {}
 func TestIdlePeriodsRecorded(t *testing.T) {
 	p := disk.DefaultParams()
 	tr := mkTrace(2, req(10, 0, 65536), req(5, 1, 65536), req(5, 0, 65536))
-	res, err := Run(tr, Config{Disk: p})
+	res, err := Run(tr, Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func baseRun(t *testing.T, b *Benchmark) (*sim.Result, []tracegen.Site) {
 		Model:            b.Model(),
 		NominalServiceMS: func(n int64) float64 { return p.ServiceTimeMS(p.MaxRPM, n) },
 	})
-	res, err := sim.Run(tr, sim.Config{Disk: p})
+	res, err := sim.Run(tr, sim.Config{Disk: p, RecordIdles: true})
 	if err != nil {
 		t.Fatal(err)
 	}
