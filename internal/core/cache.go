@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,11 +25,15 @@ import (
 // name, the identity of the IR program (pointer — programs are
 // treated as immutable once built), the Config fingerprint (see
 // Config.Fingerprint) and the layout overrides rendered in sorted
-// order; version preparation adds the version tag. Behind them, each
-// compiler stage (stages.go) — and each code/layout transformation —
-// is memoized on only the inputs it reads, so instances that differ
-// in name or in simulator-only settings (fault injection, call
-// overhead, seek model) share one set of sites, traces and plans.
+// order; version preparation adds the version tag. A hit there
+// computes no content key. Behind them, each compiler stage
+// (stages.go) — and each code/layout transformation — is memoized on
+// the content it reads: the program's IR rather than its pointer, and
+// a trace stage on its sites stage's exact output. Instances that
+// differ in name, in program pointer, or in simulator-only settings
+// (fault injection, call overhead, seek model) share one set of
+// sites, traces and plans, and so do programs whose request streams
+// come out identical.
 type Cache struct {
 	// Obs, when non-nil, receives hit/miss/singleflight-wait counts
 	// from every instance lookup and is propagated onto each prepared
@@ -43,8 +48,40 @@ type Cache struct {
 	mu       sync.Mutex
 	entries  map[string]*cacheEntry
 	sites    map[sitesKey]*siteEntry
+	interned map[outputKey][]*siteStage
 	traces   map[traceKey]*traceStage
 	versions map[versionKey]*versionEntry
+	counts   stageCounters
+}
+
+// StageCounts reports the work behind a Cache's stages. The counts of
+// one sequential regeneration are deterministic, so a test can pin
+// them: a stage key that stops sharing shows as a higher count.
+type StageCounts struct {
+	Walks            int64 // sites stages built (access-pattern walks)
+	TraceStages      int64 // trace stages created
+	Instrumentations int64 // insert.Instrument calls
+	Runs             int64 // Instance.Run calls that simulated
+}
+
+type stageCounters struct {
+	walks, traceStages, instrumentations, runs atomic.Int64
+}
+
+// Counts returns the work counted so far.
+func (c *Cache) Counts() StageCounts {
+	return StageCounts{
+		Walks:            c.counts.walks.Load(),
+		TraceStages:      c.counts.traceStages.Load(),
+		Instrumentations: c.counts.instrumentations.Load(),
+		Runs:             c.counts.runs.Load(),
+	}
+}
+
+// outputKey narrows the interning of sites stages to candidates of one
+// subsystem size and one request count.
+type outputKey struct {
+	numDisks, n int
 }
 
 type cacheEntry struct {
@@ -61,7 +98,7 @@ type cacheEntry struct {
 	err     error
 }
 
-// siteEntry memoizes one sites stage (the key pins the program).
+// siteEntry memoizes one sites stage.
 type siteEntry struct {
 	once  sync.Once
 	stage *siteStage
@@ -77,10 +114,13 @@ type versionKey struct {
 	v    Version
 }
 
-// versionEntry memoizes one ApplyVersion result.
+// versionEntry memoizes one ApplyVersion result. When the result is
+// the input program itself (VOrig, or a version that did not apply),
+// identity is set and each caller prepares its own program.
 type versionEntry struct {
 	once      sync.Once
 	prog      *ir.Program
+	identity  bool
 	overrides map[string]layout.Striping
 	applied   bool
 	err       error
@@ -88,19 +128,19 @@ type versionEntry struct {
 
 // NewCache returns an empty instance cache.
 func NewCache() *Cache {
-	return &Cache{}
+	return &Cache{
+		entries:  make(map[string]*cacheEntry),
+		sites:    make(map[sitesKey]*siteEntry),
+		interned: make(map[outputKey][]*siteStage),
+		traces:   make(map[traceKey]*traceStage),
+		versions: make(map[versionKey]*versionEntry),
+	}
 }
 
 // entry returns (creating if needed) the instance entry for a key.
 func (c *Cache) entry(key string, prog *ir.Program) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.entries == nil {
-		c.entries = make(map[string]*cacheEntry)
-		c.sites = make(map[sitesKey]*siteEntry)
-		c.traces = make(map[traceKey]*traceStage)
-		c.versions = make(map[versionKey]*versionEntry)
-	}
 	e, ok := c.entries[key]
 	if !ok {
 		e = &cacheEntry{prog: prog}
@@ -117,7 +157,9 @@ func (c *Cache) Len() int {
 }
 
 // siteStage returns the memoized sites stage for sk, building it on
-// the first request (concurrent requests wait for that build).
+// the first request (concurrent requests wait for that build). A
+// built stage is interned: it is the earlier stage with exactly the
+// same output when there is one.
 func (c *Cache) siteStage(sk sitesKey, p *ir.Program, cfg *Config, overrides map[string]layout.Striping) (*siteStage, error) {
 	c.mu.Lock()
 	e, ok := c.sites[sk]
@@ -126,8 +168,29 @@ func (c *Cache) siteStage(sk sitesKey, p *ir.Program, cfg *Config, overrides map
 		c.sites[sk] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.stage, e.err = buildSites(p, cfg, overrides) })
+	e.once.Do(func() {
+		c.counts.walks.Add(1)
+		e.stage, e.err = buildSites(p, cfg, overrides)
+		if e.err == nil {
+			e.stage = c.intern(e.stage)
+		}
+	})
 	return e.stage, e.err
+}
+
+// intern returns the stage whose output equals ss's exactly (the same
+// subsystem size, sites and file table), registering ss if none does.
+func (c *Cache) intern(ss *siteStage) *siteStage {
+	k := outputKey{numDisks: ss.numDisks, n: len(ss.sites)}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, o := range c.interned[k] {
+		if slices.Equal(o.sites, ss.sites) && slices.Equal(o.files, ss.files) {
+			return o
+		}
+	}
+	c.interned[k] = append(c.interned[k], ss)
+	return ss
 }
 
 // Prepare is a memoizing core.Prepare: the first call for a key does
@@ -186,7 +249,11 @@ func (c *Cache) PrepareVersion(name string, p *ir.Program, v Version, cfg Config
 			e.err = ve.err
 			return
 		}
-		e.in, e.err = prepare(c, name+"/"+string(v), ve.prog, cfg, ve.overrides)
+		prog := ve.prog
+		if ve.identity {
+			prog = p
+		}
+		e.in, e.err = prepare(c, name+"/"+string(v), prog, cfg, ve.overrides)
 		if e.in != nil {
 			e.in.Obs = c.Obs
 			e.in.Events = c.Events
@@ -201,8 +268,12 @@ func (c *Cache) PrepareVersion(name string, p *ir.Program, v Version, cfg Config
 // cfg. The layout-aware tiler's per-nest request counts come from the
 // original program's sites stage, shared with its preparation. Every
 // input of the result, an error included, is in the key, so a memoized
-// failure is the failure any request with that key would see.
+// failure is the failure any request with that key would see. An
+// invalid program has no content key; its error is not memoized.
 func (c *Cache) version(p *ir.Program, v Version, cfg *Config) *versionEntry {
+	if err := p.Validate(); err != nil {
+		return &versionEntry{err: err}
+	}
 	sk := keySites(p, cfg, nil)
 	c.mu.Lock()
 	ve, ok := c.versions[versionKey{orig: sk, v: v}]
@@ -222,6 +293,7 @@ func (c *Cache) version(p *ir.Program, v Version, cfg *Config) *versionEntry {
 			nestCost = nestRequests(p, orig.sites)
 		}
 		ve.prog, ve.overrides, ve.applied, ve.err = ApplyVersion(p, v, *cfg, nestCost)
+		ve.identity = ve.prog == p
 	})
 	return ve
 }

@@ -171,9 +171,10 @@ func (c *Config) faultPlan() (*faults.Plan, error) {
 // analyzed, and ready to run under any scheme.
 //
 // An Instance is a named view over the compiler stages (see stages.go):
-// its name, configuration, fault plan and collectors are its own,
-// while the sites, traces, plans and compiled forms may be shared with
-// every other instance whose stage inputs match (Cache shares them;
+// its name, program, configuration, fault plan and collectors are its
+// own, while the sites, traces, plans and compiled forms may be shared
+// with every other instance whose stage inputs have the same content,
+// or whose program yields the same request stream (Cache shares them;
 // Prepare builds fresh ones). Every trace an Instance hands out
 // carries its own name, so results, event logs and audit reports
 // never show another instance's.
@@ -190,7 +191,6 @@ func (c *Config) faultPlan() (*faults.Plan, error) {
 type Instance struct {
 	Name    string
 	Program *ir.Program
-	Sub     *layout.Subsystem
 	Sites   []tracegen.Site
 	Cfg     Config
 	// Obs, when non-nil, receives metrics from every simulation run
@@ -243,7 +243,7 @@ func prepare(c *Cache, name string, p *ir.Program, cfg Config, overrides map[str
 		return nil, err
 	}
 	return &Instance{
-		Name: name, Program: p, Sub: st.sub, Sites: st.sites, Cfg: cfg,
+		Name: name, Program: p, Sites: st.sites, Cfg: cfg,
 		faultPlan: plan,
 		stages:    st,
 		instr:     make(map[insert.Mode]*instrumented),
@@ -322,6 +322,7 @@ func (in *Instance) simulate(s Scheme) (*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	in.stages.counts.runs.Add(1)
 	res, err := sim.Run(tr, cfg)
 	if err != nil {
 		return nil, err

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,11 +24,18 @@ import (
 // later stage (or the simulator alone) reads share the earlier work:
 //
 //   - sites: placement and the access-pattern walk through the buffer
-//     cache. Reads the program, the layout overrides, NumDisks,
-//     UnitBytes, CacheUnits and NoCache.
+//     cache. Reads the program's content, the layout overrides,
+//     NumDisks, UnitBytes, CacheUnits and NoCache.
 //   - traces: the base trace, the instrumented traces and plans, and
-//     their run-length compiled forms. Reads the sites plus the disk
-//     parameters, the cycle model's values and DisablePreactivation.
+//     their run-length compiled forms. Reads the sites stage's output
+//     (NumDisks, the file table, the sites) plus the disk parameters,
+//     the cycle model's values and DisablePreactivation.
+//
+// Both are content-addressed. The sites key encodes the program's IR
+// (programKey), so a Clone or a fresh build of the same program walks
+// once; and a Cache interns each built sites stage by its output, so
+// programs whose request streams come out identical (a transformation
+// that leaves every request unchanged) share one trace stage.
 //
 // Everything else in a Config (the instance name, PowerCallOverheadMS,
 // DistanceAwareSeek, Faults, FaultSeed, Audit) only the simulator
@@ -37,7 +46,7 @@ import (
 
 // sitesKey identifies a sites stage's inputs.
 type sitesKey struct {
-	prog       *ir.Program
+	prog       string // programKey of the program
 	overrides  string // overridesKey of the layout overrides
 	numDisks   int
 	unitBytes  int64
@@ -45,24 +54,26 @@ type sitesKey struct {
 	noCache    bool
 }
 
-// traceKey identifies a trace stage's inputs.
+// traceKey identifies a trace stage's inputs: an interned sites stage
+// stands for its exact output.
 type traceKey struct {
-	sites sitesKey
+	sites *siteStage
 	disk  disk.Params
 	model cycles.Model // by value: value-equal models share
 	noPre bool
 }
 
+// keySites keys a valid program's sites stage.
 func keySites(p *ir.Program, cfg *Config, overrides map[string]layout.Striping) sitesKey {
 	return sitesKey{
-		prog: p, overrides: overridesKey(overrides),
+		prog: programKey(p), overrides: overridesKey(overrides),
 		numDisks: cfg.NumDisks, unitBytes: cfg.UnitBytes,
 		cacheUnits: cfg.CacheUnits, noCache: cfg.NoCache,
 	}
 }
 
-func keyTrace(sk sitesKey, cfg *Config) traceKey {
-	return traceKey{sites: sk, disk: cfg.Disk, model: *cfg.model(), noPre: cfg.DisablePreactivation}
+func keyTrace(ss *siteStage, cfg *Config) traceKey {
+	return traceKey{sites: ss, disk: cfg.Disk, model: *cfg.model(), noPre: cfg.DisablePreactivation}
 }
 
 // runKey identifies a simulation run over a trace stage: the scheme
@@ -101,11 +112,75 @@ func overridesKey(overrides map[string]layout.Striping) string {
 	return b.String()
 }
 
-// siteStage is the first compiler stage's output: the placed subsystem
-// and the request sites. Immutable once built.
+// programKey encodes every field of a valid program's IR as varints
+// and length-prefixed strings, so two programs share a key exactly
+// when their IR is equal. A reference names its array by position in
+// Arrays (Validate guarantees it is registered); a nil Block and an
+// empty one encode differently.
+func programKey(p *ir.Program) string {
+	var b []byte
+	str := func(s string) {
+		b = binary.AppendUvarint(b, uint64(len(s)))
+		b = append(b, s...)
+	}
+	ints := func(v []int64) {
+		b = binary.AppendUvarint(b, uint64(len(v)))
+		for _, x := range v {
+			b = binary.AppendVarint(b, x)
+		}
+	}
+	flag := func(f bool) {
+		if f {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	str(p.Name)
+	b = binary.AppendUvarint(b, uint64(len(p.Arrays)))
+	for _, a := range p.Arrays {
+		str(a.Name)
+		ints(a.Dims)
+		b = binary.AppendVarint(b, a.ElemSize)
+		flag(a.RowMajor)
+		flag(a.Block != nil)
+		ints(a.Block)
+	}
+	b = binary.AppendUvarint(b, uint64(len(p.Nests)))
+	for _, n := range p.Nests {
+		str(n.Label)
+		b = binary.AppendUvarint(b, uint64(len(n.Loops)))
+		for _, l := range n.Loops {
+			str(l.Name)
+			b = binary.AppendVarint(b, l.Lo)
+			b = binary.AppendVarint(b, l.Hi)
+			b = binary.AppendVarint(b, l.Step)
+		}
+		b = binary.AppendUvarint(b, uint64(len(n.Stmts)))
+		for _, st := range n.Stmts {
+			b = binary.AppendVarint(b, st.Cost)
+			b = binary.AppendUvarint(b, uint64(len(st.Refs)))
+			for _, r := range st.Refs {
+				b = binary.AppendVarint(b, int64(slices.Index(p.Arrays, r.Array)))
+				b = append(b, byte(r.Kind))
+				b = binary.AppendUvarint(b, uint64(len(r.Index)))
+				for _, e := range r.Index {
+					ints(e.Coeffs)
+					b = binary.AppendVarint(b, e.Const)
+				}
+			}
+		}
+	}
+	return string(b)
+}
+
+// siteStage is the first compiler stage's output: the subsystem size,
+// its file table and the request sites — exactly what the trace stage
+// reads. Immutable once built.
 type siteStage struct {
-	sub   *layout.Subsystem
-	sites []tracegen.Site
+	numDisks int
+	files    []string
+	sites    []tracegen.Site
 }
 
 // buildSites places the program's arrays (staggered default striping,
@@ -137,7 +212,7 @@ func buildSites(p *ir.Program, cfg *Config, overrides map[string]layout.Striping
 	if err != nil {
 		return nil, err
 	}
-	return &siteStage{sub: sub, sites: sites}, nil
+	return &siteStage{numDisks: cfg.NumDisks, files: sub.Files(), sites: sites}, nil
 }
 
 // nestRequests returns the per-nest request counts of a site stream.
@@ -156,10 +231,10 @@ func nestRequests(p *ir.Program, sites []tracegen.Site) []float64 {
 // over the shared Events and Files.
 type traceStage struct {
 	*siteStage
-	numDisks int
-	disk     disk.Params
-	model    *cycles.Model
-	noPre    bool
+	disk   disk.Params
+	model  *cycles.Model
+	noPre  bool
+	counts *stageCounters // the owning Cache's, or a private one
 
 	mu       sync.Mutex // guards the lazy artifacts below
 	base     *trace.Trace
@@ -181,10 +256,10 @@ type instrumented struct {
 	plan *insert.Plan
 }
 
-func newTraceStage(ss *siteStage, cfg *Config) *traceStage {
+func newTraceStage(ss *siteStage, cfg *Config, counts *stageCounters) *traceStage {
 	return &traceStage{
-		siteStage: ss, numDisks: cfg.NumDisks, disk: cfg.Disk,
-		model: cfg.model(), noPre: cfg.DisablePreactivation,
+		siteStage: ss, disk: cfg.Disk,
+		model: cfg.model(), noPre: cfg.DisablePreactivation, counts: counts,
 		instr: make(map[insert.Mode]*instrumented),
 		runs:  make(map[runKey]*runEntry),
 	}
@@ -226,7 +301,7 @@ func (s *traceStage) baseTrace() *trace.Trace {
 	defer s.mu.Unlock()
 	if s.base == nil {
 		tbl, maxRPM := disk.TableFor(s.disk), s.disk.MaxRPM
-		s.base = tracegen.FromSites("", s.sub.Files(), s.numDisks, s.sites, tracegen.Options{
+		s.base = tracegen.FromSites("", s.files, s.numDisks, s.sites, tracegen.Options{
 			Model:            s.model,
 			NominalServiceMS: func(b int64) float64 { return tbl.ServiceTimeMS(maxRPM, b) },
 		})
@@ -241,7 +316,8 @@ func (s *traceStage) instrumented(mode insert.Mode) (*trace.Trace, *insert.Plan,
 	if got, ok := s.instr[mode]; ok {
 		return got.tr, got.plan, nil
 	}
-	tr, plan, err := insert.Instrument("", s.sub.Files(), s.numDisks, s.sites, insert.Options{
+	s.counts.instrumentations.Add(1)
+	tr, plan, err := insert.Instrument("", s.files, s.numDisks, s.sites, insert.Options{
 		Mode: mode, Disk: s.disk, Model: s.model,
 		DisablePreactivation: s.noPre,
 	})
@@ -269,27 +345,28 @@ func (s *traceStage) compile(tr *trace.Trace) *trace.Compiled {
 }
 
 // stagesFor returns the trace stage for the given preparation inputs:
-// memoized per stage key in c, or freshly built when c is nil.
+// memoized in c (sites by content key, traces by interned sites
+// stage), or freshly built when c is nil.
 func stagesFor(c *Cache, p *ir.Program, cfg *Config, overrides map[string]layout.Striping) (*traceStage, error) {
 	if c == nil {
 		ss, err := buildSites(p, cfg, overrides)
 		if err != nil {
 			return nil, err
 		}
-		return newTraceStage(ss, cfg), nil
+		return newTraceStage(ss, cfg, new(stageCounters)), nil
 	}
-	sk := keySites(p, cfg, overrides)
-	ss, err := c.siteStage(sk, p, cfg, overrides)
+	ss, err := c.siteStage(keySites(p, cfg, overrides), p, cfg, overrides)
 	if err != nil {
 		return nil, err
 	}
-	tk := keyTrace(sk, cfg)
+	tk := keyTrace(ss, cfg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ts, ok := c.traces[tk]
 	if !ok {
-		ts = newTraceStage(ss, cfg)
+		ts = newTraceStage(ss, cfg, &c.counts)
 		c.traces[tk] = ts
+		c.counts.traceStages.Add(1)
 	}
 	return ts, nil
 }

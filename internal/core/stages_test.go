@@ -164,11 +164,11 @@ func buildStages(p *ir.Program, cfg Config, withTraces bool) (*stageOutputs, err
 	if err != nil {
 		return nil, err
 	}
-	out := &stageOutputs{files: ss.sub.Files(), sites: ss.sites}
+	out := &stageOutputs{files: ss.files, sites: ss.sites}
 	if !withTraces {
 		return out, nil
 	}
-	ts := newTraceStage(ss, &cfg)
+	ts := newTraceStage(ss, &cfg, new(stageCounters))
 	trs := []*trace.Trace{ts.baseTrace()}
 	for i, m := range []insert.Mode{insert.ModeTPM, insert.ModeDRPM} {
 		tr, plan, err := ts.instrumented(m)
@@ -220,32 +220,48 @@ func TestStageKeysSufficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk0 := keySites(b.Program, &base, nil)
-	tk0 := keyTrace(sk0, &base)
+	// The trace key names an interned sites stage, so the keys come
+	// from one Cache, as Cache.Prepare computes them.
+	c := NewCache()
+	keys := func(cfg *Config) (sitesKey, traceKey, error) {
+		sk := keySites(b.Program, cfg, nil)
+		ss, err := c.siteStage(sk, b.Program, cfg, nil)
+		if err != nil {
+			return sk, traceKey{}, err
+		}
+		return sk, keyTrace(ss, cfg), nil
+	}
+	sk0, tk0, err := keys(&base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rk0 := keyRun(CMDRPM, &base)
 
 	for _, l := range configLeaves(t) {
 		stage := configFieldStage[l.top]
 		var cfg Config
 		var got *stageOutputs
+		var sk sitesKey
+		var tk traceKey
 		for _, c := range perturbed(base, l) {
 			if c.Validate() != nil {
 				continue
 			}
-			sk := keySites(b.Program, &c, nil)
-			out, err := buildStages(b.Program, c, keyTrace(sk, &c) == tk0)
+			csk, ctk, err := keys(&c)
 			if err != nil {
 				continue
 			}
-			cfg, got = c, out
+			out, err := buildStages(b.Program, c, ctk == tk0)
+			if err != nil {
+				continue
+			}
+			cfg, got, sk, tk = c, out, csk, ctk
 			break
 		}
 		if got == nil {
 			t.Errorf("%s: no perturbation yields a valid configuration; extend perturbed", l.name)
 			continue
 		}
-		sk := keySites(b.Program, &cfg, nil)
-		tk := keyTrace(sk, &cfg)
 		switch {
 		case stage == stSites && sk == sk0:
 			t.Errorf("%s: declared a sites input, but perturbing it leaves the sites key unchanged", l.name)

@@ -121,6 +121,24 @@ func (t *Table) IdleEnergyJ(idleMS float64) float64 {
 	return t.P.IdleW * idleMS / 1e3
 }
 
+// StandbyEnergyJ is Params.StandbyEnergyJ without copying the Params.
+func (t *Table) StandbyEnergyJ(idleMS float64) float64 {
+	trans := t.P.SpinDownMS + t.P.SpinUpMS
+	if trans > idleMS {
+		return math.Inf(1)
+	}
+	return t.P.SpinDownJ + t.P.SpinUpJ + t.P.StandbyW*(idleMS-trans)/1e3
+}
+
+// TrailingStandbyWins is Params.TrailingStandbyWins without copying
+// the Params.
+func (t *Table) TrailingStandbyWins(idleMS float64) bool {
+	if idleMS < t.P.SpinDownMS {
+		return false
+	}
+	return t.P.SpinDownJ+t.P.StandbyW*(idleMS-t.P.SpinDownMS)/1e3 < t.P.IdleW*idleMS/1e3
+}
+
 // IdlePowerAt is Params.IdlePowerAt served from the table.
 func (t *Table) IdlePowerAt(rpm int) float64 {
 	if i := t.LevelIndex(rpm); i >= 0 {

@@ -61,6 +61,10 @@ func TestTableBitwiseIdentical(t *testing.T) {
 		}
 		for _, idle := range idles {
 			eq(t, "IdleEnergyJ", p.IdleEnergyJ(idle), tbl.IdleEnergyJ(idle))
+			eq(t, "StandbyEnergyJ", p.StandbyEnergyJ(idle), tbl.StandbyEnergyJ(idle))
+			if got, want := tbl.TrailingStandbyWins(idle), p.TrailingStandbyWins(idle); got != want {
+				t.Errorf("TrailingStandbyWins(%g) = %t, want %t", idle, got, want)
+			}
 		}
 		for r := p.MinRPM - 2*p.RPMStep; r <= p.MaxRPM+2*p.RPMStep; r += p.RPMStep / 4 {
 			if got, want := tbl.LevelIndex(r), p.LevelIndex(r); got != want {

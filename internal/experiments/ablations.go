@@ -224,9 +224,8 @@ func (s *Suite) AblationClustering() (*stats.Table, error) {
 
 // lfdlEnergy runs CMDRPM on the LF+DL version of a benchmark,
 // optionally skipping the clustering step. The transformed program is
-// built fresh on every call, so preparation goes straight to
-// core.Prepare rather than through the memo (a fresh program pointer
-// can never hit).
+// built fresh on every call; the memo shares its compiler stages by
+// content (the clustered program is Figure 13's LF+DL version).
 func (s *Suite) lfdlEnergy(b *workloads.Benchmark, cfg core.Config, cluster bool) (float64, error) {
 	fp := xform.Fission(b.Program)
 	if cluster {
@@ -237,7 +236,7 @@ func (s *Suite) lfdlEnergy(b *workloads.Benchmark, cfg core.Config, cluster bool
 	if err != nil {
 		return 0, err
 	}
-	in, err := core.Prepare(b.Name+"/lfdl", fp, cfg, st)
+	in, err := s.memo().Prepare(b.Name+"/lfdl", fp, cfg, st)
 	if err != nil {
 		return 0, err
 	}

@@ -11,9 +11,9 @@
 // cells out on a bounded worker pool (internal/runner) and reassembles
 // results in canonical order, so rendered output is byte-identical
 // for any worker count; a shared instance memo (core.Cache) ensures
-// the compile→analysis→trace pipeline runs once per (workload,
-// configuration) no matter how many schemes or experiments ask for
-// it. See docs/performance.md.
+// the compile→analysis→trace pipeline runs once per distinct program
+// content and configuration no matter how many schemes or experiments
+// ask for it. See docs/performance.md.
 package experiments
 
 import (
@@ -102,10 +102,13 @@ type Suite struct {
 	// long-lived service creates one Cache and threads it through every
 	// per-request Suite: repeated requests for the same (workload,
 	// configuration) then skip the compile→analysis→trace pipeline
-	// entirely. The shared cache keys on program identity, so callers
-	// must also share Benchmarks (the same *workloads.Benchmark values)
-	// across suites. Set it before the first experiment; its Obs/Events
-	// attachments win over the suite's.
+	// entirely. The compiler stages behind it are keyed by program
+	// content, so suites with their own Benchmarks still share them;
+	// sharing the *workloads.Benchmark values as well also shares the
+	// instance headers (keyed by program pointer) and makes a repeated
+	// request a lookup that computes no content key. Set it before the
+	// first experiment; its Obs/Events attachments win over the
+	// suite's.
 	Cache *core.Cache
 
 	cacheOnce sync.Once

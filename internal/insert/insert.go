@@ -342,9 +342,9 @@ func Instrument(program string, files []string, numDisks int, sites []tracegen.S
 			case ModeTPM:
 				worthIt := false
 				if trailing {
-					worthIt = p.TrailingStandbyWins(idle)
+					worthIt = tbl.TrailingStandbyWins(idle)
 				} else {
-					worthIt = p.StandbyEnergyJ(idle) < p.IdleEnergyJ(idle)
+					worthIt = tbl.StandbyEnergyJ(idle) < tbl.IdleEnergyJ(idle)
 				}
 				if worthIt {
 					level = 0
@@ -410,9 +410,9 @@ func Instrument(program string, files []string, numDisks int, sites []tracegen.S
 			if act == Dip {
 				addOp(start, afterSite, -1, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: level, PredictedIdleMS: idle})
 				if preactivate {
-					tr := p.TransitionTimeMS(level, p.MaxRPM)
+					tr := tbl.TransitionTimeMS(level, p.MaxRPM)
 					up := end - tr - margin - opts.guard(tr)
-					if min := start + p.TransitionTimeMS(p.MaxRPM, level); up < min {
+					if min := start + tbl.TransitionTimeMS(p.MaxRPM, level); up < min {
 						up = min
 					}
 					addOp(up, -1, afterSite, trace.PowerOp{Disk: d, Kind: trace.OpSetRPM, RPM: p.MaxRPM})

@@ -151,8 +151,9 @@ type Server struct {
 	chaos *Chaos
 
 	// benchmarks is the one workloads.All() slice the server ever
-	// uses: the shared instance cache keys on program identity, so
-	// every request must see the same *workloads.Benchmark values.
+	// uses: the shared cache keys instances on program identity, so
+	// with the same *workloads.Benchmark values a repeated request is
+	// an instance hit that computes no content key.
 	benchmarks []*workloads.Benchmark
 	cache      *core.Cache
 
@@ -690,7 +691,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		su := experiments.NewSuite()
-		su.Benchmarks = s.benchmarks // pointer-stable: shared cache keys on program identity
+		su.Benchmarks = s.benchmarks // pointer-stable: shared cache keys instances on program identity
 		su.Cache = s.cache
 		su.Workers = s.cfg.Workers
 		su.Retries = s.cfg.Retries
